@@ -183,6 +183,7 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
     convergence = {
         "scheme": config.scheme,
         "iterations": result.iterations,
+        "converged": result.converged,
         "final_delta": result.final_delta,
         "deltas": list(result.deltas),
         "pinned": list(result.pinned),
@@ -193,9 +194,10 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
     with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(convergence, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    outcome = "converged in" if result.converged else "not converged after"
     print(
         f"retrofitted embeddings written to {destination} "
-        f"(converged in {result.iterations} iterations, delta={result.final_delta:.3e})"
+        f"({outcome} {result.iterations} iterations, delta={result.final_delta:.3e})"
     )
     return destination
 
@@ -235,7 +237,6 @@ def cmd_evaluate(
     config: PipelineConfig,
     scorer: str | None = None,
     matrix_path: str | None = None,
-    threads: int = 1,
 ) -> EvalReport:
     """Run the stratified translation experiment; write and print the report."""
     scorer = scorer or config.scorer
@@ -252,7 +253,6 @@ def cmd_evaluate(
         scorer=scorer,
         embeddings=embeddings,
         graph=graph,
-        threads=threads,
     )
     destination = _workdir(config) / "report.json"
     with open(destination, "w", encoding="utf-8", newline="\n") as handle:
@@ -271,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--verbose", action="store_true", help="log progress to stderr")
-        p.add_argument("--threads", type=int, default=1, help="parallelism cap")
         p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("build-graph", help="ingest, filter, and attach tag systems")
@@ -331,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
                 top=args.top,
             )
         elif args.command == "evaluate":
-            cmd_evaluate(config, scorer=args.scorer, matrix_path=args.matrix, threads=args.threads)
+            cmd_evaluate(config, scorer=args.scorer, matrix_path=args.matrix)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._lines import iter_lines
-from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency, _parse_row
+from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency, _parse_header, _parse_row
 
 logger = logging.getLogger(__name__)
 
@@ -274,16 +274,7 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     "row is nonzero". Returns (matrix, metadata).
     """
     lines = iter_lines(path)
-    header = next(lines, None)
-    if header is None:
-        raise VectorFormatError(f"{path}: empty matrix file")
-    fields = header.split()
-    if len(fields) != 2:
-        raise VectorFormatError(f"{path} line 1: malformed header {header!r}")
-    try:
-        count, dim = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise VectorFormatError(f"{path} line 1: malformed header {header!r}") from None
+    count, dim = _parse_header(next(lines, None), where=f"{path}: ")
     concepts: list[str] = []
     rows: list[np.ndarray] = []
     for lineno, line in enumerate(lines, start=2):

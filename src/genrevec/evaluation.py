@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
@@ -112,11 +111,7 @@ def load_corpus(
         logger.warning("dropped %d items annotated in fewer than two systems", thin)
 
     if min_tag_count > 1 and items:
-        counts: dict[tuple[str, str], int] = {}
-        for item in items:
-            for system, tags in item.annotations.items():
-                for tag in tags:
-                    counts[(system, tag)] = counts.get((system, tag), 0) + 1
+        counts = ParallelCorpus(items=items, systems=()).tag_counts()
         kept = [
             item for item in items
             if all(counts[(system, tag)] >= min_tag_count
@@ -280,7 +275,6 @@ def evaluate(
     scorer: str | Callable[[CorpusItem, str], float] = "avg",
     embeddings: ConceptEmbeddingMatrix | None = None,
     graph: GenreGraph | None = None,
-    threads: int = 1,
 ) -> EvalReport:
     """Run the cross-system translation experiment over the folds.
 
@@ -320,12 +314,7 @@ def evaluate(
             result = translate(sources, target_ids, embeddings=embeddings, scorer=scorer, graph=graph)
             return np.array([result.scores[tid] for tid in target_ids])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            score_rows = list(pool.map(item_scores, eligible))
-        scores_by_item = {item.id: row for item, row in zip(eligible, score_rows)}
-    else:
-        scores_by_item = {item.id: item_scores(item) for item in eligible}
+    scores_by_item = {item.id: item_scores(item) for item in eligible}
 
     fold_aucs: list[float] = []
     items_per_fold: list[int] = []

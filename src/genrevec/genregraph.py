@@ -456,17 +456,8 @@ def shortest_path_similarity(graph: GenreGraph, a: str, b: str) -> float:
             raise ValueError(f"unknown node id {node_id!r}")
     if a == b:
         return 1.0
-    hops = {a: 0}
-    queue = deque([a])
-    while queue:
-        current = queue.popleft()
-        for neighbor in graph._adjacency[current]:
-            if neighbor == b:
-                return 1.0 / (2.0 + hops[current])
-            if neighbor not in hops:
-                hops[neighbor] = hops[current] + 1
-                queue.append(neighbor)
-    return 0.0
+    length = bfs_hops(graph, a).get(b)
+    return 0.0 if length is None else 1.0 / (1.0 + length)
 
 
 def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:

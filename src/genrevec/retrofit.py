@@ -2,11 +2,13 @@
 
 Minimizes a convex objective that keeps each concept close to its initial
 embedding (weighted alpha) while pulling graph neighbors together (weighted
-beta), via a simultaneous Jacobi-style fixed-point iteration. Two coefficient
-schemes are supported: "uniform" (every edge weighted 1/degree, the original
-formulation) and "typed" (equivalence edges weighted 1, all other relations
-1/degree). A direct sparse-linear solve of the stationarity system serves as
-an oracle for the iterative path.
+beta). Two coefficient schemes are supported: "uniform" (every edge weighted
+1/degree, the original formulation) and "typed" (equivalence edges weighted 1,
+all other relations 1/degree). Everything derives from one symmetric sparse
+matrix W holding beta_ij + beta_ji per related pair: the simultaneous Jacobi
+sweep Q <- (W Q + alpha Q-hat) / (alpha + W 1), the objective and its gradient
+in Laplacian form, and the stationarity system that :func:`solve_direct`
+solves densely as an oracle for the iterative path.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .compose import ConceptEmbeddingMatrix
 from .genregraph import EQUIVALENCE_RELATIONS, GenreGraph
@@ -60,21 +64,7 @@ class RetrofitResult:
     final_delta: float
     pinned: tuple[str, ...]
     deltas: tuple[float, ...]
-
-
-@dataclass
-class _System:
-    """Precomputed update coefficients aligned to the concept order."""
-
-    concepts: list[str]
-    alpha: np.ndarray       # n, anchor weights
-    rows: np.ndarray        # directed entry endpoints (both orientations)
-    cols: np.ndarray
-    weights: np.ndarray     # symmetric pair weight beta_ij + beta_ji per entry
-    pair_rows: np.ndarray   # one entry per unordered pair
-    pair_cols: np.ndarray
-    pair_weights: np.ndarray
-    denominator: np.ndarray  # n, alpha + sum of pair weights at each node
+    converged: bool
 
 
 def _check_alignment(q: ConceptEmbeddingMatrix, q_hat: ConceptEmbeddingMatrix, graph: GenreGraph) -> None:
@@ -86,50 +76,56 @@ def _check_alignment(q: ConceptEmbeddingMatrix, q_hat: ConceptEmbeddingMatrix, g
         raise ValueError("concept list does not match the graph node set")
 
 
-def _build_system(q_hat: ConceptEmbeddingMatrix, graph: GenreGraph, cfg: RetrofitConfig) -> _System:
-    concepts = list(q_hat.concepts)
-    index = {cid: i for i, cid in enumerate(concepts)}
-    n = len(concepts)
+def _weights(
+    q_hat: ConceptEmbeddingMatrix, graph: GenreGraph, cfg: RetrofitConfig
+) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Anchor weights alpha and the symmetric pair-weight matrix W.
+
+    W[i, j] = W[j, i] = beta_ij + beta_ji for every related pair. Each
+    relation between i and j adds 1 to both betas when it is an equivalence
+    under the "typed" scheme, and 1/degree(i) to beta_ij otherwise.
+    """
+    n = len(q_hat.concepts)
     alpha = np.where(q_hat.known, cfg.alpha_known, cfg.alpha_unknown).astype(np.float64)
-
-    pair_rows: list[int] = []
-    pair_cols: list[int] = []
-    pair_weights: list[float] = []
-    # Iterate pairs in sorted id order so floating-point accumulation is fixed.
-    for (a, b), relations in sorted(graph.undirected_relations().items()):
-        ia, ib = index[a], index[b]
-        deg_a, deg_b = graph.degree(a), graph.degree(b)
-        beta_ab = 0.0
-        beta_ba = 0.0
-        for relation in sorted(relations):
-            if cfg.scheme == "typed" and relation in EQUIVALENCE_RELATIONS:
-                beta_ab += 1.0
-                beta_ba += 1.0
-            else:
-                beta_ab += 1.0 / deg_a
-                beta_ba += 1.0 / deg_b
-        pair_rows.append(ia)
-        pair_cols.append(ib)
-        pair_weights.append(beta_ab + beta_ba)
-
-    p_rows = np.asarray(pair_rows, dtype=np.intp)
-    p_cols = np.asarray(pair_cols, dtype=np.intp)
-    p_weights = np.asarray(pair_weights, dtype=np.float64)
-    rows = np.concatenate([p_rows, p_cols])
-    cols = np.concatenate([p_cols, p_rows])
-    weights = np.concatenate([p_weights, p_weights])
-    weight_sums = np.bincount(rows, weights=weights, minlength=n) if rows.size else np.zeros(n)
-    return _System(
-        concepts=concepts,
-        alpha=alpha,
-        rows=rows,
-        cols=cols,
-        weights=weights,
-        pair_rows=p_rows,
-        pair_cols=p_cols,
-        pair_weights=p_weights,
-        denominator=alpha + weight_sums,
+    index = {cid: i for i, cid in enumerate(q_hat.concepts)}
+    pairs = graph.undirected_relations()
+    ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    typed = cfg.scheme == "typed"
+    equivalent = np.array(
+        [len(rels & EQUIVALENCE_RELATIONS) if typed else 0 for rels in pairs.values()], dtype=np.float64
     )
+    other = np.array([len(rels) for rels in pairs.values()], dtype=np.float64) - equivalent
+    degree = np.bincount(ends.ravel(), minlength=n)
+    betas = equivalent[:, None] + other[:, None] / degree[ends]  # columns: beta_ab, beta_ba
+    weights = np.tile(betas.sum(axis=1), 2)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    return alpha, sparse.csr_matrix((weights, (rows, cols)), shape=(n, n))
+
+
+def _strength(w: sparse.csr_matrix) -> np.ndarray:
+    """W 1: the summed pair weight at each node."""
+    return np.ravel(w.sum(axis=1))
+
+
+def _laplacian_times(w: sparse.csr_matrix, q: np.ndarray) -> np.ndarray:
+    """(diag(W 1) - W) Q."""
+    return _strength(w)[:, None] * q - w @ q
+
+
+def _objective(q: np.ndarray, q_hat: np.ndarray, alpha: np.ndarray, w: sparse.csr_matrix) -> float:
+    anchor = float(np.sum(alpha * np.sum((q - q_hat) ** 2, axis=1)))
+    return anchor + float(np.sum(q * _laplacian_times(w, q)))
+
+
+def _unanchored_components(concepts: list[str], alpha: np.ndarray, w: sparse.csr_matrix) -> list[list[str]]:
+    """Connected components with no anchor weight, as sorted ids, ordered by smallest id."""
+    count, labels = connected_components(w, directed=False)
+    anchored = np.bincount(labels, weights=alpha, minlength=count) > 0.0
+    members: dict[int, list[str]] = {}
+    for i in np.flatnonzero(~anchored[labels]):
+        members.setdefault(int(labels[i]), []).append(concepts[i])
+    return sorted((sorted(ids) for ids in members.values()), key=lambda ids: ids[0])
 
 
 def objective(
@@ -145,13 +141,8 @@ def objective(
     weighted squared distance between the pair's current embeddings.
     """
     _check_alignment(q, q_hat, graph)
-    system = _build_system(q_hat, graph, cfg)
-    anchor = float(np.sum(system.alpha * np.sum((q.vectors - q_hat.vectors) ** 2, axis=1)))
-    if system.pair_rows.size == 0:
-        return anchor
-    diffs = q.vectors[system.pair_rows] - q.vectors[system.pair_cols]
-    smoothness = float(np.sum(system.pair_weights * np.sum(diffs ** 2, axis=1)))
-    return anchor + smoothness
+    alpha, w = _weights(q_hat, graph, cfg)
+    return _objective(q.vectors, q_hat.vectors, alpha, w)
 
 
 def objective_gradient(
@@ -162,19 +153,8 @@ def objective_gradient(
 ) -> np.ndarray:
     """Analytic gradient of :func:`objective` with respect to Q, shape (n, d)."""
     _check_alignment(q, q_hat, graph)
-    system = _build_system(q_hat, graph, cfg)
-    grad = 2.0 * system.alpha[:, None] * (q.vectors - q_hat.vectors)
-    if system.rows.size:
-        diffs = q.vectors[system.rows] - q.vectors[system.cols]
-        np.add.at(grad, system.rows, 2.0 * system.weights[:, None] * diffs)
-    return grad
-
-
-def _sweep(current: np.ndarray, anchor_term: np.ndarray, system: _System, denominator: np.ndarray) -> np.ndarray:
-    aggregated = np.zeros_like(current)
-    if system.rows.size:
-        np.add.at(aggregated, system.rows, system.weights[:, None] * current[system.cols])
-    return (aggregated + anchor_term) / denominator[:, None]
+    alpha, w = _weights(q_hat, graph, cfg)
+    return 2.0 * alpha[:, None] * (q.vectors - q_hat.vectors) + 2.0 * _laplacian_times(w, q.vectors)
 
 
 def update_step(
@@ -190,16 +170,13 @@ def update_step(
     and no neighbors.
     """
     _check_alignment(q, q_hat, graph)
-    system = _build_system(q_hat, graph, cfg)
-    dead = np.flatnonzero(system.denominator == 0.0)
+    alpha, w = _weights(q_hat, graph, cfg)
+    denominator = alpha + _strength(w)
+    dead = np.flatnonzero(denominator == 0.0)
     if dead.size:
-        raise ZeroDenominatorError(
-            f"node {system.concepts[dead[0]]!r} has no anchor weight and no neighbors"
-        )
-    anchor_term = system.alpha[:, None] * q_hat.vectors
-    updated = _sweep(q.vectors, anchor_term, system, system.denominator)
-    delta = _max_displacement(updated, q.vectors)
-    return q.copy_with(vectors=updated), delta
+        raise ZeroDenominatorError(f"node {q_hat.concepts[dead[0]]!r} has no anchor weight and no neighbors")
+    updated = (w @ q.vectors + alpha[:, None] * q_hat.vectors) / denominator[:, None]
+    return q.copy_with(vectors=updated), _max_displacement(updated, q.vectors)
 
 
 def _max_displacement(new: np.ndarray, old: np.ndarray) -> float:
@@ -216,56 +193,62 @@ def retrofit(
     """Iterate the fixed-point update from Q = Q-hat until convergence.
 
     Convergence is reached when the largest per-node displacement falls to
-    the configured tolerance, or after max_iters sweeps. Nodes with no
+    the configured tolerance; a run that spends max_iters sweeps without
+    reaching it logs a warning and reports ``converged=False``. Nodes with no
     anchor weight and no neighbors are pinned at their initial vector and
     reported instead of raising. The returned known flags mark every concept
     whose final vector is nonzero as usable.
     """
     cfg = cfg or RetrofitConfig()
     _check_alignment(q_hat, q_hat, graph)
-    system = _build_system(q_hat, graph, cfg)
+    alpha, w = _weights(q_hat, graph, cfg)
+    denominator = alpha + _strength(w)
 
-    pinned_mask = system.denominator == 0.0
-    pinned = tuple(system.concepts[i] for i in np.flatnonzero(pinned_mask))
+    pinned_mask = denominator == 0.0
+    pinned = tuple(q_hat.concepts[i] for i in np.flatnonzero(pinned_mask))
     if pinned:
         logger.warning("%d isolated unanchored nodes pinned at their initial vectors", len(pinned))
-    for component in graph.connected_components():
-        indices = [q_hat.index_of(cid) for cid in component]
-        if np.all(system.alpha[indices] == 0.0) and len(component) > 1:
+    for component in _unanchored_components(q_hat.concepts, alpha, w):
+        if len(component) > 1:
             logger.warning(
                 "component of %d nodes (e.g. %r) has no anchored concept; "
                 "its vectors settle on neighbor averages of their initial values",
-                len(component), min(component),
+                len(component), component[0],
             )
 
-    denominator = np.where(pinned_mask, 1.0, system.denominator)
-    anchor_term = system.alpha[:, None] * q_hat.vectors
+    denominator[pinned_mask] = 1.0
+    anchor_term = alpha[:, None] * q_hat.vectors
     current = q_hat.vectors.copy()
     trace = logger.isEnabledFor(logging.DEBUG)
     deltas: list[float] = []
-    iterations = 0
     delta = 0.0
     for iteration in range(1, cfg.max_iters + 1):
-        updated = _sweep(current, anchor_term, system, denominator)
+        updated = (w @ current + anchor_term) / denominator[:, None]
         if pinned:
             updated[pinned_mask] = current[pinned_mask]
         delta = _max_displacement(updated, current)
         deltas.append(delta)
-        iterations = iteration
         current = updated
         if trace:
-            value = objective(q_hat.copy_with(vectors=current), q_hat, graph, cfg)
+            value = _objective(current, q_hat.vectors, alpha, w)
             logger.debug("iteration %d: delta=%.3e objective=%.6e", iteration, delta, value)
         if delta <= cfg.tolerance:
             break
+    converged = delta <= cfg.tolerance
+    if not converged:
+        logger.warning(
+            "not converged: delta=%.3e after %d iterations is above tolerance %.3e",
+            delta, len(deltas), cfg.tolerance,
+        )
     known = q_hat.known | np.any(current != 0.0, axis=1)
     matrix = ConceptEmbeddingMatrix(concepts=list(q_hat.concepts), vectors=current, known=known)
     return RetrofitResult(
         matrix=matrix,
-        iterations=iterations,
+        iterations=len(deltas),
         final_delta=delta,
         pinned=pinned,
         deltas=tuple(deltas),
+        converged=converged,
     )
 
 
@@ -276,28 +259,24 @@ def solve_direct(
 ) -> ConceptEmbeddingMatrix:
     """Solve the stationarity system of the objective exactly.
 
-    Per node, the minimizer satisfies
-    (alpha_i + sum_j w_ij) q_i - sum_j w_ij q_j = alpha_i q-hat_i, a linear
-    system solved densely per dimension. Used as an oracle for
-    :func:`retrofit`. Raises :class:`SingularSystemError` when some connected
-    component carries no anchor weight.
+    The minimizer satisfies (diag(alpha + W 1) - W) Q = diag(alpha) Q-hat, a
+    linear system assembled as a dense matrix and solved with
+    ``np.linalg.solve``; sparse LU fills in on genre graphs, so this stays an
+    oracle for :func:`retrofit` on small graphs. Raises
+    :class:`SingularSystemError` when some connected component carries no
+    anchor weight.
     """
     cfg = cfg or RetrofitConfig()
     _check_alignment(q_hat, q_hat, graph)
-    system = _build_system(q_hat, graph, cfg)
-    for component in graph.connected_components():
-        indices = [q_hat.index_of(cid) for cid in component]
-        if np.all(system.alpha[indices] == 0.0):
-            raise SingularSystemError(
-                f"component containing {min(component)!r} has no anchor weight; system is singular"
-            )
-    n = len(system.concepts)
-    matrix = np.zeros((n, n))
-    np.fill_diagonal(matrix, system.denominator)
-    matrix[system.rows, system.cols] -= system.weights
-    rhs = system.alpha[:, None] * q_hat.vectors
+    alpha, w = _weights(q_hat, graph, cfg)
+    unanchored = _unanchored_components(q_hat.concepts, alpha, w)
+    if unanchored:
+        raise SingularSystemError(
+            f"component containing {unanchored[0][0]!r} has no anchor weight; system is singular"
+        )
+    matrix = np.diag(alpha + _strength(w)) - w.toarray()
     try:
-        solution = np.linalg.solve(matrix, rhs)
+        solution = np.linalg.solve(matrix, alpha[:, None] * q_hat.vectors)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from None
     known = q_hat.known | np.any(solution != 0.0, axis=1)

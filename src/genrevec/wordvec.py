@@ -70,7 +70,7 @@ def load_vectors(
     """Parse the text vector format into a :class:`WordVectorStore`.
 
     The first line must be "<count> <dim>"; each following line is a word and
-    `dim` decimal components separated by single spaces. At most
+    `dim` finite decimal components separated by single spaces. At most
     min(count, limit) entries are kept, in file order. Words are stored
     NFC-normalized and lowercased; rows whose words collide with an earlier
     entry after that normalization are dropped with a warning, while a
@@ -79,18 +79,7 @@ def load_vectors(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be a positive integer, got {limit}")
     lines = iter_lines(source)
-    header = next(lines, None)
-    if header is None:
-        raise VectorFormatError("empty vector stream: missing '<count> <dim>' header")
-    fields = header.split()
-    if len(fields) != 2:
-        raise VectorFormatError(f"line 1: malformed header {header!r}, expected '<count> <dim>'")
-    try:
-        count, dim = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise VectorFormatError(f"line 1: malformed header {header!r}, expected two integers") from None
-    if count < 0 or dim < 1:
-        raise VectorFormatError(f"line 1: invalid header values count={count} dim={dim}")
+    count, dim = _parse_header(next(lines, None))
 
     cap = count if limit is None else min(count, limit)
     words: list[str] = []
@@ -121,6 +110,19 @@ def load_vectors(
     return WordVectorStore(dim=dim, words=words, matrix=matrix)
 
 
+def _parse_header(header: str | None, where: str = "") -> tuple[int, int]:
+    """Read a '<count> <dim>' header line; `where` prefixes every error message."""
+    if header is None:
+        raise VectorFormatError(f"{where}empty vector stream: missing '<count> <dim>' header")
+    try:
+        count, dim = map(int, header.split())  # a wrong field count is a ValueError too
+    except ValueError:
+        raise VectorFormatError(f"{where}line 1: malformed header {header!r}, expected '<count> <dim>'") from None
+    if count < 0 or dim < 1:
+        raise VectorFormatError(f"{where}line 1: invalid header values count={count} dim={dim}")
+    return count, dim
+
+
 def _parse_row(line: str, lineno: int, dim: int) -> tuple[str, np.ndarray]:
     """Split one vector row; raises VectorFormatError naming the line."""
     fields = line.rstrip(" ").split(" ")
@@ -133,6 +135,8 @@ def _parse_row(line: str, lineno: int, dim: int) -> tuple[str, np.ndarray]:
         vector = np.array([float(x) for x in fields[1:]], dtype=np.float64)
     except ValueError:
         raise VectorFormatError(f"line {lineno}: non-numeric vector component") from None
+    if not np.isfinite(vector).all():
+        raise VectorFormatError(f"line {lineno}: non-finite vector component")
     return word, vector
 
 

@@ -36,6 +36,7 @@ class TestPipeline:
         log = json.loads((out_dir(root) / "convergence.json").read_text())
         assert log["iterations"] >= 1
         assert log["final_delta"] <= 1e-5
+        assert log["converged"] is True
         assert len(log["deltas"]) == log["iterations"]
         assert log["objective_final"] <= log["objective_initial"]
 
@@ -88,6 +89,28 @@ class TestPipeline:
             assert main(command + ["--config", config]) == 0
         after = {name: (out_dir(root) / name).read_bytes() for name in artifacts}
         assert before == after
+
+
+class TestNonConvergence:
+    def test_reported_in_log_and_message(self, tmp_path, capsys, caplog):
+        paths = write_demo_dataset(tmp_path / "data")
+        config_path = Path(paths["config"])
+        payload = json.loads(config_path.read_text())
+        payload["max_iters"] = 1
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        config = str(config_path)
+        assert main(["build-graph", "--config", config]) == 0
+        assert main(["embed", "--config", config]) == 0
+        capsys.readouterr()
+        with caplog.at_level("WARNING"):
+            assert main(["retrofit", "--config", config]) == 0
+        output = capsys.readouterr().out
+        assert "not converged after 1 iterations" in output
+        assert "not converged" in caplog.text
+        workdir = Path(PipelineConfig.from_file(config).workdir)
+        log = json.loads((workdir / "convergence.json").read_text())
+        assert log["converged"] is False
+        assert log["iterations"] == 1
 
 
 class TestErrors:

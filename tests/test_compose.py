@@ -16,7 +16,7 @@ from genrevec.compose import (
     sif_weight,
     sif_weighted_means,
 )
-from genrevec.wordvec import VectorSpace, estimate_frequency
+from genrevec.wordvec import VectorFormatError, VectorSpace, estimate_frequency
 
 from helpers import fixture_store, make_store
 
@@ -206,3 +206,16 @@ class TestMatrixSerialization:
         path.write_text("3 2\na 1 0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="declares 3"):
             load_matrix(path)
+
+    def test_non_finite_component_rejected(self, tmp_path):
+        path = tmp_path / "broken.vec"
+        path.write_text("2 2\na 1 0\nb nan 1\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="line 3.*non-finite"):
+            load_matrix(path)
+
+    def test_invalid_header_values_rejected(self, tmp_path):
+        for header in ("-1 2", "1 0"):
+            path = tmp_path / "broken.vec"
+            path.write_text(f"{header}\na 1 0\n", encoding="utf-8")
+            with pytest.raises(VectorFormatError, match="line 1: invalid header"):
+                load_matrix(path)

@@ -318,17 +318,6 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="cannot also be a source"):
             evaluate(corpus, self.folds_for(corpus), "tgt", ["tgt"], scorer=lambda i, t: 0.0)
 
-    def test_threads_do_not_change_results(self):
-        corpus = synthetic_corpus(80, seed=12)
-        folds = self.folds_for(corpus)
-
-        def scorer(item, tag):
-            return (hash((item.id, tag)) % 1000) / 1000.0
-
-        serial = evaluate(corpus, folds, "tgt", ["src"], scorer=scorer)
-        threaded = evaluate(corpus, folds, "tgt", ["src"], scorer=scorer, threads=4)
-        assert serial.fold_aucs == threaded.fold_aucs
-
     def test_report_serialization_roundtrip(self):
         corpus = synthetic_corpus(40, seed=3)
         report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda i, t: 0.5)

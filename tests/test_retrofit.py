@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genrevec.compose import ConceptEmbeddingMatrix
+from genrevec.genregraph import EQUIVALENCE_RELATIONS
 from genrevec.retrofit import (
     RetrofitConfig,
     SingularSystemError,
@@ -13,6 +14,7 @@ from genrevec.retrofit import (
     retrofit,
     solve_direct,
     update_step,
+    _weights,
 )
 
 from helpers import bare_graph, random_instance
@@ -27,6 +29,22 @@ def pair_instance():
         known=np.array([True, True]),
     )
     return graph, matrix
+
+
+def oracle_pair_weights(graph, scheme):
+    """beta_ab + beta_ba per unordered pair, summed relation by relation in sorted order."""
+    weights = {}
+    for (a, b), relations in sorted(graph.undirected_relations().items()):
+        beta_ab = beta_ba = 0.0
+        for relation in sorted(relations):
+            if scheme == "typed" and relation in EQUIVALENCE_RELATIONS:
+                beta_ab += 1.0
+                beta_ba += 1.0
+            else:
+                beta_ab += 1.0 / graph.degree(a)
+                beta_ba += 1.0 / graph.degree(b)
+        weights[(a, b)] = beta_ab + beta_ba
+    return weights
 
 
 class TestConfig:
@@ -134,6 +152,7 @@ class TestRetrofit:
         np.testing.assert_allclose(result.matrix.vector("A"), [0.6, 0.4], atol=1e-6)
         np.testing.assert_allclose(result.matrix.vector("B"), [0.4, 0.6], atol=1e-6)
         assert result.final_delta <= 1e-9
+        assert result.converged is True
 
     def test_edgeless_graph_converges_immediately(self):
         graph = bare_graph(["A", "B"], [])
@@ -220,6 +239,38 @@ class TestRetrofit:
             return float(np.dot(c, e) / (np.linalg.norm(c) * np.linalg.norm(e)))
 
         assert center_cosine("typed") > center_cosine("uniform")
+
+
+    def test_non_convergence_is_flagged_and_warned(self, caplog):
+        graph, matrix = pair_instance()
+        with caplog.at_level("WARNING"):
+            result = retrofit(matrix, graph, RetrofitConfig(max_iters=1))
+        assert result.iterations == 1
+        assert result.final_delta > 1e-5
+        assert result.converged is False
+        assert "not converged" in caplog.text
+
+
+class TestWeights:
+    def test_matches_per_pair_oracle(self):
+        multi = bare_graph(
+            ["A", "B", "C", "D"],
+            [("A", "B", "sameAs"), ("B", "A", "musicSubgenre"), ("A", "B", "derivative"),
+             ("B", "C", "stylisticOrigin"), ("C", "B", "wikiPageRedirects"), ("C", "D", "musicFusionGenre")],
+        )
+        multi_matrix = ConceptEmbeddingMatrix(["A", "B", "C", "D"], np.eye(4), np.ones(4, dtype=bool))
+        instances = [random_instance(seed) for seed in range(20)] + [(multi, multi_matrix)]
+        for graph, matrix in instances:
+            index = {cid: i for i, cid in enumerate(matrix.concepts)}
+            for scheme in ("uniform", "typed"):
+                alpha, w = _weights(matrix, graph, RetrofitConfig(scheme=scheme))
+                expected = np.zeros((len(matrix), len(matrix)))
+                for (a, b), weight in oracle_pair_weights(graph, scheme).items():
+                    expected[index[a], index[b]] = weight
+                    expected[index[b], index[a]] = weight
+                assert w.nnz == np.count_nonzero(expected)
+                assert np.max(np.abs(w.toarray() - expected)) <= 1e-15
+                np.testing.assert_array_equal(alpha, np.where(matrix.known, 1.0, 0.0))
 
 
 class TestSolveDirect:

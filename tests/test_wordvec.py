@@ -63,6 +63,12 @@ class TestLoadVectors:
         with pytest.raises(VectorFormatError, match="line 2"):
             load_vectors(io.StringIO("1 2\nrock x 0\n"))
 
+    def test_non_finite_component_names_line(self):
+        with pytest.raises(VectorFormatError, match="line 2.*non-finite"):
+            load_vectors(io.StringIO("1 2\nx nan inf\n"))
+        with pytest.raises(VectorFormatError, match="line 3.*non-finite"):
+            load_vectors(io.StringIO("2 2\nrock 1 0\npop -inf 1\n"))
+
     def test_byte_stream(self):
         store = load_vectors(io.BytesIO(BASIC.encode("utf-8")))
         assert len(store) == 2
