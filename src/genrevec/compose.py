@@ -251,12 +251,12 @@ def save_matrix(
     extra metadata go to a JSON sidecar at '<path>.meta.json'.
     """
     path = Path(path)
+    row_format = "%s " + " ".join(["%.10g"] * matrix.dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{len(matrix)} {matrix.dim}\n")
-        for i, cid in enumerate(matrix.concepts):
-            encoded = urllib.parse.quote(cid, safe="")
-            components = " ".join(format(x, ".10g") for x in matrix.vectors[i])
-            handle.write(f"{encoded} {components}\n")
+        for cid, row in zip(matrix.concepts, matrix.vectors):
+            # row by row: a whole-matrix tolist() would hold every component as a Python float at once
+            handle.write(row_format % (urllib.parse.quote(cid, safe=""), *row.tolist()))
     sidecar = {
         "known": [bool(flag) for flag in matrix.known],
         "metadata": dict(metadata) if metadata else {},
@@ -280,7 +280,7 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
-        encoded, vector = _parse_row(line, lineno, dim)
+        encoded, vector = _parse_row(line, lineno, dim, where=f"{path}: ")
         cid = urllib.parse.unquote(encoded)
         concepts.append(cid)
         rows.append(vector)

@@ -1,9 +1,12 @@
 """Translation experiments: stratified folds, ranking AUC, and aggregation.
 
-Items annotated under several tag systems are split into stratified folds;
-each fold's items are translated from the source systems into the target
-system, and per-target-tag AUC is macro-averaged per fold and summarized
-with mean and population standard deviation over folds.
+Items annotated under several tag systems are split into stratified folds.
+All evaluated items are translated from the source systems into the target
+system in one batch (:func:`genrevec.translate.score_sets`), giving an
+items x target-tags score matrix; per fold, every tag column's AUC comes
+from tie-averaged ranks at once, is macro-averaged over the fold's tags,
+and the fold averages are summarized with mean and population standard
+deviation. :func:`auc_binary` is the same statistic for one score list.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.stats import rankdata
 
 from ._lines import iter_lines
 from .compose import ConceptEmbeddingMatrix
 from .genregraph import GenreGraph, tag_node_id
-from .translate import translate
+from .translate import score_sets
 
 logger = logging.getLogger(__name__)
 
@@ -283,7 +287,9 @@ def evaluate(
     each tag with both a positive and a negative item yields an AUC, and
     the fold's macro average runs over those tags. Tags degenerate in a fold
     are excluded from its average. `scorer` is "sum", "avg", or "baseline",
-    or a callable (item, target_tag) -> float for custom scoring.
+    scored for all items in one :func:`score_sets` call, or a callable
+    (item, target_tag) -> float for custom scoring, called item by item and
+    tag by tag in vocabulary order.
     """
     source_systems = list(source_systems)
     if target_system in source_systems:
@@ -300,38 +306,55 @@ def evaluate(
 
     if callable(scorer):
         scorer_name = getattr(scorer, "__name__", "custom")
-
-        def item_scores(item: CorpusItem) -> np.ndarray:
-            return np.array([float(scorer(item, tag)) for tag in vocabulary])
+        scores = np.array(
+            [[float(scorer(item, tag)) for tag in vocabulary] for item in eligible], dtype=np.float64,
+        ).reshape(len(eligible), len(vocabulary))
     else:
         scorer_name = scorer
+        source_sets = [
+            {tag_node_id(system, tag) for system in source_systems for tag in item.tags(system)}
+            for item in eligible
+        ]
+        scores, dropped = score_sets(source_sets, target_ids, embeddings=embeddings, scorer=scorer, graph=graph)
+        if dropped.any():
+            logger.warning(
+                "dropped %d source tags missing from the embedding vocabulary, from %d of %d items",
+                int(dropped.sum()), int(np.count_nonzero(dropped)), len(eligible),
+            )
+            unresolved = sum(len(tags) == lost for tags, lost in zip(source_sets, dropped))
+            if unresolved:
+                logger.warning(
+                    "%d items have no source tag in the embedding vocabulary; all their targets score 0", unresolved,
+                )
 
-        def item_scores(item: CorpusItem) -> np.ndarray:
-            sources = sorted({
-                tag_node_id(system, tag)
-                for system in source_systems for tag in item.tags(system)
-            })
-            result = translate(sources, target_ids, embeddings=embeddings, scorer=scorer, graph=graph)
-            return np.array([result.scores[tid] for tid in target_ids])
-
-    scores_by_item = {item.id: item_scores(item) for item in eligible}
+    column = {tag: j for j, tag in enumerate(vocabulary)}
+    labels = np.zeros(scores.shape, dtype=bool)
+    for i, item in enumerate(eligible):
+        labels[i, [column[tag] for tag in item.tags(target_system)]] = True
+    fold_of = np.array([folds.fold_of(item.id) for item in eligible], dtype=np.int64)
 
     fold_aucs: list[float] = []
     items_per_fold: list[int] = []
     per_tag: dict[str, list[float | None]] = {tag: [] for tag in vocabulary}
     for fold in range(folds.k):
-        members = [item for item in eligible if folds.fold_of(item.id) == fold]
-        items_per_fold.append(len(members))
+        member = fold_of == fold
+        count = int(np.count_nonzero(member))
+        items_per_fold.append(count)
+        fold_labels = labels[member]
+        positives = fold_labels.sum(axis=0)
+        qualifying = (positives > 0) & (positives < count)
+        aucs = np.full(len(vocabulary), np.nan)
+        if qualifying.any():
+            # Mann-Whitney: tie-averaged ranks are half-integers, so these sums are exact
+            ranks = rankdata(scores[member], axis=0)
+            rank_sums = np.where(fold_labels, ranks, 0.0).sum(axis=0)
+            wins = rank_sums - positives * (positives + 1) / 2
+            np.divide(wins, positives * (count - positives), out=aucs, where=qualifying)
         tag_aucs: list[float] = []
-        for column, tag in enumerate(vocabulary):
-            labels = [1 if tag in item.tags(target_system) else 0 for item in members]
-            positives = sum(labels)
-            if positives == 0 or positives == len(labels):
-                per_tag[tag].append(None)
-                continue
-            value = auc_binary([scores_by_item[item.id][column] for item in members], labels)
-            per_tag[tag].append(value)
-            tag_aucs.append(value)
+        for tag, value, usable in zip(vocabulary, aucs.tolist(), qualifying.tolist()):
+            per_tag[tag].append(value if usable else None)
+            if usable:
+                tag_aucs.append(value)
         if not tag_aucs:
             raise ValueError(f"fold {fold}: no qualifying target tag (need a positive and a negative item)")
         fold_aucs.append(sum(tag_aucs) / len(tag_aucs))

@@ -2,13 +2,17 @@
 
 Scores are cosine similarities over concept embeddings, aggregated by sum or
 mean across the source set, or shortest-path relatedness over the genre
-graph for the baseline.
+graph for the baseline. :func:`score_sets` scores many source sets against
+one target list in one pass, as evaluation does; :func:`translate` is its
+one-set call, with ranking. The scalar :func:`cosine`, :func:`score_sum`
+and :func:`score_avg` define the same scores one pair at a time.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +67,78 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
+def score_sets(
+    source_sets: Sequence[Iterable[str]],
+    targets: Sequence[str],
+    embeddings: ConceptEmbeddingMatrix | None = None,
+    scorer: str = "avg",
+    graph: GenreGraph | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every target tag for each source tag set, in one pass.
+
+    `targets` must be distinct. Returns a (sets x targets) score matrix,
+    columns in the order of `targets`, and per set the number of distinct
+    source tags dropped as missing from the embedding matrix (always 0 for
+    "baseline"). Each set is scored as its sorted distinct tags, exactly as
+    :func:`translate` scores it.
+
+    "sum"/"avg": targets are checked and row-normalized once; each distinct
+    source is normalized once; each set's resolved sources are multiplied
+    against the targets and their cosine rows summed, and divided by the
+    set's size for "avg". A set with no resolved source scores 0 everywhere.
+    "baseline" runs one BFS per distinct source and averages 1/(1 + hops)
+    over the set, requiring every id to be a graph node.
+    """
+    if scorer not in SCORERS:
+        raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
+    rows = [sorted(set(tags)) for tags in source_sets]
+    if not all(rows):
+        raise ValueError("source tag set must be nonempty")
+    scores = np.zeros((len(rows), len(targets)))
+    dropped = np.zeros(len(rows), dtype=np.int64)
+    if not rows:
+        return scores, dropped
+
+    if scorer == "baseline":
+        if graph is None:
+            raise ValueError("the baseline scorer requires the genre graph")
+        for tag in chain(*rows, targets):
+            if not graph.has_node(tag):
+                raise ValueError(f"unknown node id {tag!r}")
+        resolved_rows = [tuple(row) for row in rows]
+    else:
+        if embeddings is None:
+            raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
+        try:
+            target_index = [embeddings.index_of(t) for t in targets]
+        except KeyError:
+            missing = next(t for t in targets if t not in embeddings)
+            raise ValueError(f"unresolvable target tag {missing!r}") from None
+        target_matrix = _normalize_rows(embeddings.vectors[target_index])
+        resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
+        dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
+
+    distinct = sorted({tag for resolved in resolved_rows for tag in resolved})
+    if scorer == "baseline":
+        relatedness = {}
+        for source in distinct:
+            hops = bfs_hops(graph, source)
+            relatedness[source] = np.array([1.0 / (1.0 + hops[t]) if t in hops else 0.0 for t in targets])
+        for i, resolved in enumerate(resolved_rows):
+            scores[i] = sum(relatedness[source] for source in resolved) / len(resolved)
+    else:
+        position = {tag: i for i, tag in enumerate(distinct)}
+        source_matrix = _normalize_rows(embeddings.vectors[[embeddings.index_of(s) for s in distinct]])
+        # One product per set rather than slices of one shared cosine block:
+        # BLAS rounds an entry differently depending on the shape of the
+        # product it belongs to, and this keeps every score equal to a one-set call.
+        for i, resolved in enumerate(resolved_rows):
+            if resolved:
+                values = (source_matrix[[position[s] for s in resolved]] @ target_matrix.T).sum(axis=0)
+                scores[i] = values / len(resolved) if scorer == "avg" else values
+    return scores, dropped
+
+
 def translate(
     source_tags: Iterable[str],
     targets: Iterable[str],
@@ -72,55 +148,20 @@ def translate(
 ) -> TranslationResult:
     """Score every target tag for the given source tag set and rank them.
 
-    With the "sum"/"avg" scorers, targets must resolve in the embedding
-    matrix; source tags missing from it are dropped (with a warning), and if
-    none remain every target scores 0. The "baseline" scorer averages
-    shortest-path relatedness over the graph instead, and requires every id
-    to be a graph node. Ranking ties break lexicographically.
+    A one-set call of :func:`score_sets`. With the "sum"/"avg" scorers,
+    targets must resolve in the embedding matrix; source tags missing from
+    it are dropped (with a warning), and if none remain every target scores
+    0. The "baseline" scorer averages shortest-path relatedness over the
+    graph instead, and requires every id to be a graph node. Ranking ties
+    break lexicographically.
     """
-    if scorer not in SCORERS:
-        raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
-    sources = sorted(set(source_tags))
+    sources = set(source_tags)
     target_list = list(dict.fromkeys(targets))
-    if not sources:
-        raise ValueError("source tag set must be nonempty")
-
-    if scorer == "baseline":
-        if graph is None:
-            raise ValueError("the baseline scorer requires the genre graph")
-        for tag in [*sources, *target_list]:
-            if not graph.has_node(tag):
-                raise ValueError(f"unknown node id {tag!r}")
-        totals = np.zeros(len(target_list))
-        for source in sources:
-            hops = bfs_hops(graph, source)
-            totals += np.array([
-                1.0 / (1.0 + hops[t]) if t in hops else 0.0 for t in target_list
-            ])
-        values = totals / len(sources)
-    else:
-        if embeddings is None:
-            raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-        missing = [t for t in target_list if t not in embeddings]
-        if missing:
-            raise ValueError(f"unresolvable target tag {missing[0]!r}")
-        resolved = [s for s in sources if s in embeddings]
-        dropped = len(sources) - len(resolved)
-        if dropped:
-            logger.warning("dropped %d source tags missing from the embedding vocabulary", dropped)
-        target_matrix = _normalize_rows(
-            np.vstack([embeddings.vector(t) for t in target_list])
-        ) if target_list else np.zeros((0, embeddings.dim))
-        if not resolved:
+    matrix, dropped = score_sets([sources], target_list, embeddings=embeddings, scorer=scorer, graph=graph)
+    if dropped[0]:
+        logger.warning("dropped %d source tags missing from the embedding vocabulary", dropped[0])
+        if dropped[0] == len(sources):
             logger.warning("no source tag resolved; all targets score 0")
-            values = np.zeros(len(target_list))
-        else:
-            source_matrix = _normalize_rows(np.vstack([embeddings.vector(s) for s in resolved]))
-            similarities = source_matrix @ target_matrix.T
-            values = similarities.sum(axis=0)
-            if scorer == "avg":
-                values = values / len(resolved)
-
-    scores = {tag: float(value) for tag, value in zip(target_list, values)}
+    scores = dict(zip(target_list, matrix[0].tolist()))
     ranking = sorted(scores, key=lambda tag: (-scores[tag], tag))
     return TranslationResult(scores=scores, ranking=ranking)

@@ -123,20 +123,20 @@ def _parse_header(header: str | None, where: str = "") -> tuple[int, int]:
     return count, dim
 
 
-def _parse_row(line: str, lineno: int, dim: int) -> tuple[str, np.ndarray]:
-    """Split one vector row; raises VectorFormatError naming the line."""
+def _parse_row(line: str, lineno: int, dim: int, where: str = "") -> tuple[str, np.ndarray]:
+    """Split one vector row; raises VectorFormatError naming the line, prefixed by `where`."""
     fields = line.rstrip(" ").split(" ")
     word = fields[0]
     if not word:
-        raise VectorFormatError(f"line {lineno}: empty word field")
+        raise VectorFormatError(f"{where}line {lineno}: empty word field")
     if len(fields) - 1 != dim:
-        raise VectorFormatError(f"line {lineno}: expected {dim} components, found {len(fields) - 1}")
+        raise VectorFormatError(f"{where}line {lineno}: expected {dim} components, found {len(fields) - 1}")
     try:
         vector = np.array([float(x) for x in fields[1:]], dtype=np.float64)
     except ValueError:
-        raise VectorFormatError(f"line {lineno}: non-numeric vector component") from None
+        raise VectorFormatError(f"{where}line {lineno}: non-numeric vector component") from None
     if not np.isfinite(vector).all():
-        raise VectorFormatError(f"line {lineno}: non-finite vector component")
+        raise VectorFormatError(f"{where}line {lineno}: non-finite vector component")
     return word, vector
 
 

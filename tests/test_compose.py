@@ -1,5 +1,7 @@
 """Tests for concept embedding composition (plain and frequency-weighted)."""
 
+import urllib.parse
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,32 @@ class TestMatrixSerialization:
         np.testing.assert_array_equal(loaded.known, matrix.known)
         assert metadata == {"composition": "avg"}
 
+    @staticmethod
+    def write_rows_per_value(matrix, path):
+        """The matrix text writer formatting one component at a time, as an oracle."""
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(f"{len(matrix)} {matrix.dim}\n")
+            for i, cid in enumerate(matrix.concepts):
+                encoded = urllib.parse.quote(cid, safe="")
+                components = " ".join(format(x, ".10g") for x in matrix.vectors[i])
+                handle.write(f"{encoded} {components}\n")
+
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
+                   1e16, 1e15, 123456789012.5, 0.1, 1 / 3]
+        ids = ["plain", "with space", "sys:Hip hop", "percent%id", "café/ü", "tab\tnew\nline", "%41"]
+        rng = np.random.default_rng(17)
+        for trial in range(12):
+            n = int(rng.integers(1, len(ids) + 1))
+            dim = int(rng.integers(1, 9))
+            vectors = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-12, 12, size=(n, dim))
+            mask = rng.random((n, dim)) < 0.4
+            vectors[mask] = rng.choice(special, size=int(mask.sum()))
+            matrix = ConceptEmbeddingMatrix(concepts=ids[:n], vectors=vectors, known=np.ones(n, dtype=bool))
+            save_matrix(matrix, tmp_path / "fast.vec")
+            self.write_rows_per_value(matrix, tmp_path / "oracle.vec")
+            assert (tmp_path / "fast.vec").read_bytes() == (tmp_path / "oracle.vec").read_bytes(), trial
+
     def test_missing_sidecar_falls_back_to_nonzero_rows(self, tmp_path, caplog):
         matrix = ConceptEmbeddingMatrix(
             concepts=["a", "b"], vectors=np.array([[1.0, 0.0], [0.0, 0.0]]), known=np.array([True, False])
@@ -210,8 +238,9 @@ class TestMatrixSerialization:
     def test_non_finite_component_rejected(self, tmp_path):
         path = tmp_path / "broken.vec"
         path.write_text("2 2\na 1 0\nb nan 1\n", encoding="utf-8")
-        with pytest.raises(VectorFormatError, match="line 3.*non-finite"):
+        with pytest.raises(VectorFormatError, match="line 3.*non-finite") as raised:
             load_matrix(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_invalid_header_values_rejected(self, tmp_path):
         for header in ("-1 2", "1 0"):

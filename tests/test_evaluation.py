@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 import math
 import random
 
@@ -10,17 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrevec.cli import main
+from genrevec.compose import ConceptEmbeddingMatrix, load_matrix
 from genrevec.evaluation import (
     CorpusFormatError,
     CorpusItem,
+    EvalReport,
     ParallelCorpus,
     auc_binary,
     evaluate,
     load_corpus,
     stratified_split,
 )
+from genrevec.fixtures import write_demo_dataset
+from genrevec.genregraph import RELATIONS, bfs_hops, load_saved_graph, tag_node_id
+from genrevec.translate import translate
 
-from helpers import paired_corpus, synthetic_corpus
+from helpers import bare_graph, paired_corpus, synthetic_corpus
 
 
 def corpus_lines(records):
@@ -326,3 +333,184 @@ class TestEvaluate:
         assert "per_tag" in payload
         table = report.render_table()
         assert "macro-AUC" in table and "mean" in table
+
+
+def _normalize_rows(matrix):
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
+def oracle_translate_scores(source_tags, target_list, embeddings=None, scorer="avg", graph=None):
+    """Per-query scoring as a standalone translate() did it, one target row at a time."""
+    sources = sorted(set(source_tags))
+    if scorer == "baseline":
+        totals = np.zeros(len(target_list))
+        for source in sources:
+            hops = bfs_hops(graph, source)
+            totals += np.array([1.0 / (1.0 + hops[t]) if t in hops else 0.0 for t in target_list])
+        return totals / len(sources)
+    target_matrix = _normalize_rows(np.vstack([embeddings.vector(t) for t in target_list]))
+    resolved = [s for s in sources if s in embeddings]
+    if not resolved:
+        return np.zeros(len(target_list))
+    source_matrix = _normalize_rows(np.vstack([embeddings.vector(s) for s in resolved]))
+    values = (source_matrix @ target_matrix.T).sum(axis=0)
+    return values / len(resolved) if scorer == "avg" else values
+
+
+def oracle_evaluate(corpus, folds, target_system, source_systems, scorer, embeddings=None, graph=None):
+    """Per-item scoring and the scalar rank-sum AUC, one tag and fold at a time."""
+    vocabulary = corpus.system_vocabulary(target_system)
+    target_ids = [tag_node_id(target_system, tag) for tag in vocabulary]
+    eligible = [
+        item for item in corpus.items
+        if item.tags(target_system) and any(item.tags(s) for s in source_systems)
+    ]
+    scores_by_item = {}
+    for item in eligible:
+        sources = {tag_node_id(system, tag) for system in source_systems for tag in item.tags(system)}
+        scores_by_item[item.id] = oracle_translate_scores(sources, target_ids, embeddings, scorer, graph)
+    fold_aucs, items_per_fold = [], []
+    per_tag = {tag: [] for tag in vocabulary}
+    for fold in range(folds.k):
+        members = [item for item in eligible if folds.fold_of(item.id) == fold]
+        items_per_fold.append(len(members))
+        tag_aucs = []
+        for column, tag in enumerate(vocabulary):
+            labels = [1 if tag in item.tags(target_system) else 0 for item in members]
+            if sum(labels) in (0, len(labels)):
+                per_tag[tag].append(None)
+                continue
+            value = auc_binary([scores_by_item[item.id][column] for item in members], labels)
+            per_tag[tag].append(value)
+            tag_aucs.append(value)
+        fold_aucs.append(sum(tag_aucs) / len(tag_aucs))
+    return EvalReport(
+        target_system=target_system,
+        source_systems=tuple(source_systems),
+        scorer=scorer,
+        fold_aucs=tuple(fold_aucs),
+        mean_auc=float(np.mean(fold_aucs)),
+        std_auc=float(np.std(fold_aucs)),
+        per_tag={tag: tuple(values) for tag, values in per_tag.items()},
+        items_per_fold=tuple(items_per_fold),
+    )
+
+
+def random_experiment(seed, quantized):
+    """Two source systems and a target system over a random embedding matrix and graph.
+
+    Some source tags are missing from the matrix, so some items keep no
+    resolved source; quantized vectors make many scores tie exactly.
+    """
+    rng = np.random.default_rng(seed)
+    pick = random.Random(seed)
+    n_items = int(rng.integers(24, 90))
+    vocab = {"s1": [f"a{i}" for i in range(8)], "s2": [f"b{i}" for i in range(5)], "tgt": [f"t{i}" for i in range(9)]}
+    shapes = [
+        {"s1": tuple(pick.sample(vocab["s1"], pick.randint(1, 3)))} for _ in range(n_items // 4)
+    ]  # a small pool of source sets, so many items share theirs
+    items = []
+    for index in range(n_items):
+        annotations = dict(pick.choice(shapes)) if pick.random() < 0.5 else {}
+        if not annotations or pick.random() < 0.3:
+            annotations["s2"] = tuple(pick.sample(vocab["s2"], pick.randint(1, 2)))
+        annotations["tgt"] = tuple(pick.sample(vocab["tgt"][:7], pick.randint(1, 3)))
+        if index in (3, 10):
+            annotations["tgt"] += ("t8",)  # on two items only, so absent from at least one of three folds
+        items.append(CorpusItem(f"i{index:03d}", annotations))
+    corpus = ParallelCorpus(items=items, systems=("s1", "s2", "tgt"))
+
+    ids = [tag_node_id(system, tag) for system, tags in vocab.items() for tag in tags]
+    missing = {"s1:a0", "s1:a5", "s2:b4"}
+    concepts = [cid for cid in ids if cid not in missing]
+    dim = int(rng.integers(2, 7))
+    vectors = rng.normal(size=(len(concepts), dim))
+    if quantized:
+        vectors = np.round(vectors)
+        vectors[rng.random(len(concepts)) < 0.1] = 0.0
+    embeddings = ConceptEmbeddingMatrix(concepts, vectors, np.any(vectors != 0.0, axis=1))
+
+    relations = sorted(RELATIONS)
+    edges = []
+    for _ in range(len(ids)):
+        i, j = rng.choice(len(ids), size=2, replace=False)
+        edges.append((ids[int(i)], ids[int(j)], relations[int(rng.integers(len(relations)))]))
+    graph = bare_graph(ids, edges)
+    folds = stratified_split(corpus, k=3, seed=seed)
+    return corpus, folds, embeddings, graph
+
+
+class TestBatchScoringOracle:
+    """The batch path reproduces per-item scoring and scalar AUC exactly."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("scorer", ["sum", "avg", "baseline"])
+    def test_random_corpora(self, seed, scorer):
+        corpus, folds, embeddings, graph = random_experiment(seed, quantized=seed % 2 == 0)
+        for sources in (["s1", "s2"], ["s2"]):
+            report = evaluate(corpus, folds, "tgt", sources, scorer=scorer, embeddings=embeddings, graph=graph)
+            expected = oracle_evaluate(corpus, folds, "tgt", sources, scorer, embeddings, graph)
+            assert report.to_dict() == expected.to_dict()
+
+    def test_corpora_cover_the_hard_cases(self):
+        unresolved = degenerate = shared = 0
+        for seed in range(8):
+            corpus, folds, embeddings, _ = random_experiment(seed, quantized=seed % 2 == 0)
+            sets = [
+                frozenset(tag_node_id(s, t) for s in ("s1", "s2") for t in item.tags(s)) for item in corpus.items
+            ]
+            unresolved += sum(not any(tag in embeddings for tag in tags) for tags in sets)
+            shared += len(sets) - len(set(sets))
+            report = evaluate(corpus, folds, "tgt", ["s1", "s2"], scorer="avg", embeddings=embeddings)
+            degenerate += sum(value is None for values in report.per_tag.values() for value in values)
+        assert unresolved and degenerate and shared
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scorer", ["sum", "avg", "baseline"])
+    def test_single_query_translate_matches_oracle(self, seed, scorer):
+        _, _, embeddings, graph = random_experiment(seed, quantized=seed % 2 == 1)
+        rng = random.Random(seed)
+        targets = [f"tgt:t{i}" for i in range(9)]
+        sources = [f"s1:a{i}" for i in range(8)] + [f"s2:b{i}" for i in range(5)]
+        for _ in range(20):
+            query = rng.sample(sources, rng.randint(1, 4))
+            result = translate(query, targets, embeddings=embeddings, scorer=scorer, graph=graph)
+            expected = oracle_translate_scores(query, targets, embeddings, scorer, graph)
+            assert [result.scores[t] for t in targets] == expected.tolist()
+
+    def test_demo_data(self, tmp_path):
+        paths = write_demo_dataset(tmp_path)
+        config = str(paths["config"])
+        for stage in ("build-graph", "embed", "retrofit"):
+            assert main([stage, "--config", config]) == 0
+        corpus = load_corpus(paths["corpus"], min_tag_count=1)
+        folds = stratified_split(corpus, k=4, seed=7)
+        graph = load_saved_graph(tmp_path / "out" / "graph.json")
+        embeddings, _ = load_matrix(tmp_path / "out" / "retrofitted.vec")
+        for scorer in ("sum", "avg", "baseline"):
+            report = evaluate(corpus, folds, "fr", ["en"], scorer=scorer, embeddings=embeddings, graph=graph)
+            expected = oracle_evaluate(corpus, folds, "fr", ["en"], scorer, embeddings, graph)
+            assert report.to_dict() == expected.to_dict()
+
+
+class TestEvaluateWarnings:
+    def test_one_warning_per_call_for_dropped_sources(self, caplog):
+        items = [
+            CorpusItem(f"i{n}", {"src": ("known", f"ghost{n}"), "tgt": ("t0",) if n % 2 else ("t1",)})
+            for n in range(6)
+        ]
+        items += [CorpusItem(f"lost{n}", {"src": ("ghost",), "tgt": ("t0", "t1")[n % 2:][:1]}) for n in range(2)]
+        corpus = ParallelCorpus(items=items, systems=("src", "tgt"))
+        embeddings = ConceptEmbeddingMatrix(
+            ["src:known", "tgt:t0", "tgt:t1"], np.array([[1.0, 0.0], [0.6, 0.8], [0.8, -0.6]]), np.ones(3, bool)
+        )
+        folds = stratified_split(corpus, k=2, seed=0)
+        with caplog.at_level(logging.WARNING):
+            evaluate(corpus, folds, "tgt", ["src"], scorer="avg", embeddings=embeddings)
+        dropped = [r for r in caplog.records if "dropped" in r.getMessage()]
+        unresolved = [r for r in caplog.records if "no source tag" in r.getMessage()]
+        assert len(dropped) == 1 and len(unresolved) == 1
+        assert "dropped 8 source tags" in dropped[0].getMessage()
+        assert "from 8 of 8 items" in dropped[0].getMessage()
+        assert unresolved[0].getMessage().startswith("2 items")
