@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from ._lines import atomic_write
 from .compose import compose_avg, compose_sif, load_matrix, save_matrix
 from .evaluation import EvalReport, evaluate, load_corpus, stratified_split
 from .genregraph import attach_tag_system, filter_graph, load_graph, load_lemma_table, load_saved_graph, save_graph
@@ -191,7 +192,7 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
         "objective_final": objective(result.matrix, q_hat, graph, cfg),
     }
     log_path = _workdir(config) / "convergence.json"
-    with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(log_path) as handle:
         json.dump(convergence, handle, indent=2, sort_keys=True)
         handle.write("\n")
     outcome = "converged in" if result.converged else "not converged after"
@@ -255,7 +256,7 @@ def cmd_evaluate(
         graph=graph,
     )
     destination = _workdir(config) / "report.json"
-    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(destination) as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(report.render_table())

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._lines import iter_lines
-from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency, _parse_header, _parse_row
+from ._lines import atomic_write, iter_lines
+from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency, _parse_header, _read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -252,7 +252,7 @@ def save_matrix(
     """
     path = Path(path)
     row_format = "%s " + " ".join(["%.10g"] * matrix.dim) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         handle.write(f"{len(matrix)} {matrix.dim}\n")
         for cid, row in zip(matrix.concepts, matrix.vectors):
             # row by row: a whole-matrix tolist() would hold every component as a Python float at once
@@ -261,7 +261,7 @@ def save_matrix(
         "known": [bool(flag) for flag in matrix.known],
         "metadata": dict(metadata) if metadata else {},
     }
-    with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(_meta_path(path)) as handle:
         json.dump(sidecar, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -275,18 +275,9 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     """
     lines = iter_lines(path)
     count, dim = _parse_header(next(lines, None), where=f"{path}: ")
-    concepts: list[str] = []
-    rows: list[np.ndarray] = []
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
-        encoded, vector = _parse_row(line, lineno, dim, where=f"{path}: ")
-        cid = urllib.parse.unquote(encoded)
-        concepts.append(cid)
-        rows.append(vector)
+    concepts, vectors = _read_rows(lines, dim, lambda encoded, _: urllib.parse.unquote(encoded), where=f"{path}: ")
     if len(concepts) != count:
         raise VectorFormatError(f"{path}: header declares {count} rows, found {len(concepts)}")
-    vectors = np.vstack(rows) if rows else np.zeros((0, dim))
 
     meta_file = _meta_path(path)
     metadata: dict = {}

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from ._lines import iter_lines
+from ._lines import atomic_write, iter_lines
 
 logger = logging.getLogger(__name__)
 
@@ -476,7 +476,7 @@ def write_edges_jsonl(graph: GenreGraph, target: IO[str]) -> None:
 
 def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:
     """Write the full-fidelity graph JSON (tokens, systems, vocabulary included)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         json.dump(graph.to_dict(), handle, ensure_ascii=False, indent=2, sort_keys=True)
         handle.write("\n")
 

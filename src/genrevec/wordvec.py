@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import os
 import unicodedata
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -29,9 +29,10 @@ def normalize_word(word: str) -> str:
 class WordVectorStore:
     """Word vectors ordered by decreasing corpus frequency.
 
-    Ranks are 1-based positions in the source file: the most frequent word
-    has rank 1, and ranks are contiguous over the stored entries. The store
-    is immutable after construction; concurrent reads are safe.
+    Ranks are 1-based positions among the stored entries: the most frequent
+    word has rank 1, and ranks are contiguous over the stored entries, so a
+    file row dropped while loading shifts every later rank down by one. The
+    store is immutable after construction; concurrent reads are safe.
     """
 
     def __init__(self, dim: int, words: list[str], matrix: np.ndarray):
@@ -82,32 +83,105 @@ def load_vectors(
     count, dim = _parse_header(next(lines, None))
 
     cap = count if limit is None else min(count, limit)
-    words: list[str] = []
-    rows: list[np.ndarray] = []
     seen_raw: set[str] = set()
     seen_keys: set[str] = set()
     collisions = 0
-    for lineno, line in enumerate(lines, start=2):
-        if len(words) >= cap:
-            break
-        if not line:
-            continue
-        raw_word, vector = _parse_row(line, lineno, dim)
+
+    def admit(raw_word: str, lineno: int) -> str | None:
+        nonlocal collisions
         if raw_word in seen_raw:
             raise VectorFormatError(f"line {lineno}: duplicate word {raw_word!r}")
         seen_raw.add(raw_word)
         key = normalize_word(raw_word)
         if key in seen_keys:
             collisions += 1
-            continue
+            return None
         seen_keys.add(key)
-        words.append(key)
-        rows.append(vector)
+        return key
+
+    words, matrix = _read_rows(lines, dim, admit, cap=cap)
     if collisions:
         logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
-
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
     return WordVectorStore(dim=dim, words=words, matrix=matrix)
+
+
+def _read_rows(
+    lines: Iterator[str],
+    dim: int,
+    admit: Callable[[str, int], str | None],
+    cap: int | None = None,
+    where: str = "",
+) -> tuple[list[str], np.ndarray]:
+    """Read the rows after the header: (kept keys, float64 matrix of their rows).
+
+    Lines are numbered from 2 and blank lines are skipped. `admit(word,
+    lineno)` maps each raw word to the key to keep, returns None to drop the
+    row, or raises VectorFormatError to reject the file. Reading stops once
+    `cap` rows are kept. Every row read is parsed and validated, dropped rows
+    too, and the first bad line in file order is the one reported: an error
+    `admit` raises at line L comes after the component errors of lines up to
+    L, an empty word at line L after those of the lines before it.
+    """
+    raw_words: list[str] = []
+    rests: list[str] = []
+    linenos: list[int] = []
+    keys: list[str] = []
+    kept_rows: list[int] = []
+    failure: VectorFormatError | None = None
+    for lineno, line in enumerate(lines, start=2):
+        if cap is not None and len(keys) >= cap:
+            break
+        if not line:
+            continue
+        word, _, rest = line.rstrip(" ").partition(" ")
+        if not word:
+            try:
+                _parse_row(line, lineno, dim, where)  # raises the empty-word error
+            except VectorFormatError as error:
+                failure = error
+            break
+        raw_words.append(word)
+        rests.append(rest)
+        linenos.append(lineno)
+        try:
+            key = admit(word, lineno)
+        except VectorFormatError as error:
+            failure = error
+            break
+        if key is not None:
+            keys.append(key)
+            kept_rows.append(len(rests) - 1)
+
+    matrix = _parse_block(raw_words, rests, linenos, dim, where)
+    if failure is not None:
+        raise failure
+    if len(kept_rows) != len(rests):
+        matrix = matrix[kept_rows]
+    return keys, matrix
+
+
+def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim: int, where: str) -> np.ndarray:
+    """Parse the component text of every row with one numpy call.
+
+    Files numpy cannot read as a finite (rows, dim) block (a bad line, or
+    numerals only Python's float() accepts, such as '1_0' or non-ASCII
+    digits) go through :func:`_parse_row` row by row, which gives the same
+    values as float() or raises for the first bad line.
+    """
+    if not rests:
+        return np.zeros((0, dim))
+    if any(rests):  # loadtxt warns on input with no data; such rows all fail below anyway
+        try:
+            matrix = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            # loadtxt skips empty lines, so a row with no components shows as a short block
+            if matrix.shape == (len(rests), dim) and np.isfinite(matrix).all():
+                return matrix
+    return np.vstack(
+        [_parse_row(f"{word} {rest}", lineno, dim, where)[1] for word, rest, lineno in zip(raw_words, rests, linenos)]
+    )
 
 
 def _parse_header(header: str | None, where: str = "") -> tuple[int, int]:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from genrevec import cli
 from genrevec.cli import PipelineConfig, main
+from genrevec.evaluation import EvalReport
 from genrevec.fixtures import write_demo_dataset
 
 
@@ -89,6 +91,19 @@ class TestPipeline:
             assert main(command + ["--config", config]) == 0
         after = {name: (out_dir(root) / name).read_bytes() for name in artifacts}
         assert before == after
+
+    def test_interrupted_report_writes_keep_previous_files(self, demo, monkeypatch):
+        root, config = demo
+        assert main(["evaluate", "--config", config]) == 0
+        before = {entry.name: entry.read_bytes() for entry in out_dir(root).iterdir()}
+        # json.dump writes the leading keys before it reaches the unserializable value
+        monkeypatch.setattr(EvalReport, "to_dict", lambda self: {"fold_aucs": [], "zzz": object()})
+        with pytest.raises(TypeError):
+            main(["evaluate", "--config", config])
+        monkeypatch.setattr(cli, "objective", lambda *args: object())
+        with pytest.raises(TypeError):
+            main(["retrofit", "--config", config])
+        assert {entry.name: entry.read_bytes() for entry in out_dir(root).iterdir()} == before
 
 
 class TestNonConvergence:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrevec._lines import atomic_write
 from genrevec.compose import (
     ConceptEmbeddingMatrix,
     compose_avg,
@@ -218,6 +219,35 @@ class TestMatrixSerialization:
             self.write_rows_per_value(matrix, tmp_path / "oracle.vec")
             assert (tmp_path / "fast.vec").read_bytes() == (tmp_path / "oracle.vec").read_bytes(), trial
 
+    def test_text_roundtrip_relative_error_within_bound(self, tmp_path):
+        # %.10g keeps 10 significant digits: each component reads back within 5e-10 relative
+        rng = np.random.default_rng(23)
+        vectors = rng.normal(size=(64, 300)) * 10.0 ** rng.uniform(-300, 300, size=(64, 300))
+        matrix = ConceptEmbeddingMatrix(concepts=[f"c{i}" for i in range(64)], vectors=vectors, known=np.ones(64, bool))
+        save_matrix(matrix, tmp_path / "matrix.vec")
+        loaded, _ = load_matrix(tmp_path / "matrix.vec")
+        relative = np.abs(loaded.vectors - vectors) / np.abs(vectors)
+        assert relative.max() <= 5e-10
+        assert relative.max() > 1e-11  # the text form is lossy, so the bound is not vacuous
+
+    def test_interrupted_save_keeps_previous_files(self, tmp_path):
+        class FailingIds(list):
+            """Concept ids whose iteration fails after two rows, as a full disk would."""
+
+            def __iter__(self):
+                yield from list.__iter__(self[:2])
+                raise OSError("no space left on device")
+
+        rng = np.random.default_rng(5)
+        path = tmp_path / "matrix.vec"
+        save_matrix(ConceptEmbeddingMatrix(["a", "b", "c"], rng.normal(size=(3, 4)), np.ones(3, bool)), path)
+        before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}
+        replacement = ConceptEmbeddingMatrix(["x", "y", "z"], rng.normal(size=(3, 4)), np.ones(3, bool))
+        replacement.concepts = FailingIds(replacement.concepts)
+        with pytest.raises(OSError, match="no space"):
+            save_matrix(replacement, path)
+        assert {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()} == before
+
     def test_missing_sidecar_falls_back_to_nonzero_rows(self, tmp_path, caplog):
         matrix = ConceptEmbeddingMatrix(
             concepts=["a", "b"], vectors=np.array([[1.0, 0.0], [0.0, 0.0]]), known=np.array([True, False])
@@ -248,3 +278,16 @@ class TestMatrixSerialization:
             path.write_text(f"{header}\na 1 0\n", encoding="utf-8")
             with pytest.raises(VectorFormatError, match="line 1: invalid header"):
                 load_matrix(path)
+
+
+class TestAtomicWrite:
+    def test_completed_block_replaces_file_with_default_permissions(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("previous\n", encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write("new\n")
+        assert path.read_bytes() == b"new\n"
+        with open(tmp_path / "plain", "w") as handle:
+            handle.write("x")
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["plain", "report.json"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from genrevec.genregraph import (
     EQUIVALENCE_RELATIONS,
     RELATIONS,
+    GenreGraph,
     GraphFormatError,
     attach_tag_system,
     filter_graph,
@@ -74,6 +75,46 @@ class TestNormalizeTag:
         except ValueError:
             return
         assert normalize_tag(" ".join(tokens), vocabulary) == tokens
+
+
+def segmentations(token: str, vocabulary: set[str]) -> list[list[str]]:
+    """Every way of writing `token` as a sequence of vocabulary words."""
+    if not token:
+        return [[]]
+    return [
+        [token[:end], *tail]
+        for end in range(1, len(token) + 1)
+        if token[:end] in vocabulary
+        for tail in segmentations(token[end:], vocabulary)
+    ]
+
+
+@st.composite
+def split_cases(draw):
+    vocabulary = draw(st.sets(st.text(alphabet="ab", min_size=1, max_size=4), max_size=6))
+    if vocabulary and draw(st.booleans()):
+        words = draw(st.lists(st.sampled_from(sorted(vocabulary)), min_size=1, max_size=4))
+        token = "".join(words) + draw(st.sampled_from(["", "", "a", "b"]))
+    else:
+        token = draw(st.text(alphabet="ab", min_size=1, max_size=10))
+    return vocabulary, token
+
+
+class TestTagSplittingProperties:
+    @given(split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_brute_force(self, case):
+        vocabulary, token = case
+        splits = segmentations(token, vocabulary)
+        tokens = normalize_tag(token, vocabulary)
+        if not splits:
+            assert tokens == [token]
+            return
+        assert "".join(tokens) == token
+        assert all(word in vocabulary for word in tokens)
+        # the split preferring the longest first word, then the longest second, and so on
+        assert tokens == max(splits, key=lambda split: [len(word) for word in split])
+        assert len(tokens[0]) == max(len(split[0]) for split in splits)
 
 
 NODES = """\
@@ -159,6 +200,19 @@ class TestLoadGraph:
         path = tmp_path / "graph.json"
         save_graph(graph, path)
         assert load_saved_graph(path) == graph
+
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        graph = small_graph()
+        path = tmp_path / "graph.json"
+        save_graph(graph, path)
+        before = path.read_bytes()
+        # json.dump writes the leading keys before it reaches the unserializable value
+        monkeypatch.setattr(GenreGraph, "to_dict", lambda self: {"nodes": [], "zzz": object()})
+        with pytest.raises(TypeError):
+            save_graph(graph, path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["graph.json"]
 
 
 class TestFilterGraph:
