@@ -19,8 +19,8 @@ from ._lines import atomic_write
 from .compose import compose_avg, compose_sif, load_matrix, save_matrix
 from .evaluation import EvalReport, evaluate, load_corpus, stratified_split
 from .genregraph import attach_tag_system, filter_graph, load_graph, load_lemma_table, load_saved_graph, save_graph
-from .retrofit import RetrofitConfig, objective, retrofit
-from .translate import translate
+from .retrofit import SCHEMES, RetrofitConfig, retrofit
+from .translate import SCORERS, translate
 from .wordvec import VectorSpace, load_vectors
 
 logger = logging.getLogger(__name__)
@@ -100,10 +100,10 @@ class PipelineConfig:
             raise ConfigError("config needs at least one entry under 'vectors'")
         if self.composition not in COMPOSITIONS:
             raise ConfigError(f"composition must be one of {COMPOSITIONS}")
-        if self.scorer not in ("sum", "avg", "baseline"):
-            raise ConfigError("scorer must be 'sum', 'avg', or 'baseline'")
-        if self.scheme not in ("uniform", "typed"):
-            raise ConfigError("scheme must be 'uniform' or 'typed'")
+        if self.scorer not in SCORERS:
+            raise ConfigError(f"scorer must be one of {SCORERS}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
 
@@ -177,8 +177,7 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
     """Refine the composed embeddings against the graph; write matrix and log."""
     graph = load_saved_graph(_graph_path(config))
     q_hat, metadata = load_matrix(_embeddings_path(config))
-    cfg = config.retrofit_config()
-    result = retrofit(q_hat, graph, cfg)
+    result = retrofit(q_hat, graph, config.retrofit_config())
     destination = _retrofitted_path(config)
     save_matrix(result.matrix, destination, metadata={**metadata, "scheme": config.scheme})
     convergence = {
@@ -188,8 +187,8 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
         "final_delta": result.final_delta,
         "deltas": list(result.deltas),
         "pinned": list(result.pinned),
-        "objective_initial": objective(q_hat, q_hat, graph, cfg),
-        "objective_final": objective(result.matrix, q_hat, graph, cfg),
+        "objective_initial": result.objective_initial,
+        "objective_final": result.objective_final,
     }
     log_path = _workdir(config) / "convergence.json"
     with atomic_write(log_path) as handle:
@@ -283,19 +282,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrofit", help="refine embeddings against the graph")
     common(p)
-    p.add_argument("--scheme", choices=("uniform", "typed"), help="override the coefficient scheme")
+    p.add_argument("--scheme", choices=SCHEMES, help="override the coefficient scheme")
 
     p = sub.add_parser("translate", help="rank target tags for source tag ids")
     common(p)
     p.add_argument("source_tags", nargs="+", help="source tag node ids (system:tag)")
     p.add_argument("--target-system", required=True, help="tag system to rank")
-    p.add_argument("--scorer", choices=("sum", "avg", "baseline"), help="override the scorer")
+    p.add_argument("--scorer", choices=SCORERS, help="override the scorer")
     p.add_argument("--matrix", help="embedding matrix file (default: retrofitted)")
     p.add_argument("--top", type=int, default=0, help="print only the best N targets")
 
     p = sub.add_parser("evaluate", help="run the stratified translation experiment")
     common(p)
-    p.add_argument("--scorer", choices=("sum", "avg", "baseline"), help="override the scorer")
+    p.add_argument("--scorer", choices=SCORERS, help="override the scorer")
     p.add_argument("--matrix", help="embedding matrix file (default: retrofitted)")
     return parser
 

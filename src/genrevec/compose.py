@@ -84,13 +84,18 @@ class ConceptEmbeddingMatrix:
         )
 
 
-def _make_resolver(store, languages):
-    """Build a (concept_id, token) -> lookup function over either store kind."""
-    if isinstance(store, VectorSpace):
-        if languages is None:
-            raise ValueError("a languages mapping (concept id -> language) is required with a VectorSpace")
-        return store.dim, lambda cid, token: store.lookup(token, languages[cid])
-    return store.dim, lambda cid, token: store.lookup(token)
+def _resolve_tokens(tokens_per_concept, store, languages) -> list[tuple[int, list[tuple[np.ndarray, int]]]]:
+    """Per concept, in order: its token count and its tokens' (vector, rank) hits in token order."""
+    by_language = isinstance(store, VectorSpace)
+    if by_language and languages is None:
+        raise ValueError("a languages mapping (concept id -> language) is required with a VectorSpace")
+    resolved = []
+    for cid, tokens in tokens_per_concept.items():
+        if not tokens:
+            raise ValueError(f"concept {cid!r} has an empty token list")
+        found = (store.lookup(token, languages[cid]) if by_language else store.lookup(token) for token in tokens)
+        resolved.append((len(tokens), [hit for hit in found if hit is not None]))
+    return resolved
 
 
 def compose_avg(
@@ -104,24 +109,16 @@ def compose_avg(
     toward the denominator. A concept is unknown (and gets the zero vector)
     iff all its tokens are out of vocabulary.
     """
-    dim, resolve = _make_resolver(store, languages)
-    concepts = list(tokens_per_concept)
-    vectors = np.zeros((len(concepts), dim))
-    known = np.zeros(len(concepts), dtype=bool)
-    for i, cid in enumerate(concepts):
-        tokens = tokens_per_concept[cid]
-        if not tokens:
-            raise ValueError(f"concept {cid!r} has an empty token list")
-        acc = np.zeros(dim)
-        hit = False
-        for token in tokens:
-            found = resolve(cid, token)
-            if found is not None:
-                acc += found[0]
-                hit = True
-        vectors[i] = acc / len(tokens)
-        known[i] = hit
-    return ConceptEmbeddingMatrix(concepts=concepts, vectors=vectors, known=known)
+    resolved = _resolve_tokens(tokens_per_concept, store, languages)
+    vectors = np.zeros((len(resolved), store.dim))
+    known = np.zeros(len(resolved), dtype=bool)
+    for i, (count, hits) in enumerate(resolved):
+        acc = np.zeros(store.dim)
+        for vector, _ in hits:
+            acc += vector
+        vectors[i] = acc / count
+        known[i] = bool(hits)
+    return ConceptEmbeddingMatrix(concepts=list(tokens_per_concept), vectors=vectors, known=known)
 
 
 def sif_weight(rank: int, a: float = DEFAULT_SIF_A) -> float:
@@ -146,25 +143,15 @@ def sif_weighted_means(
     """
     if a <= 0:
         raise ValueError(f"smoothing constant a must be positive, got {a}")
-    dim, resolve = _make_resolver(store, languages)
-    concepts = list(tokens_per_concept)
-    means = np.zeros((len(concepts), dim))
-    known = np.zeros(len(concepts), dtype=bool)
-    for i, cid in enumerate(concepts):
-        tokens = tokens_per_concept[cid]
-        if not tokens:
-            raise ValueError(f"concept {cid!r} has an empty token list")
-        acc = np.zeros(dim)
-        hits = 0
-        for token in tokens:
-            found = resolve(cid, token)
-            if found is None:
-                continue
-            vector, rank = found
-            acc += (a / (a + estimate_frequency(rank))) * vector
-            hits += 1
+    resolved = _resolve_tokens(tokens_per_concept, store, languages)
+    means = np.zeros((len(resolved), store.dim))
+    known = np.zeros(len(resolved), dtype=bool)
+    for i, (_, hits) in enumerate(resolved):
         if hits:
-            means[i] = acc / hits
+            acc = np.zeros(store.dim)
+            for vector, rank in hits:
+                acc += sif_weight(rank, a) * vector
+            means[i] = acc / len(hits)
             known[i] = True
     return means, known
 
@@ -275,7 +262,16 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     """
     lines = iter_lines(path)
     count, dim = _parse_header(next(lines, None), where=f"{path}: ")
-    concepts, vectors = _read_rows(lines, dim, lambda encoded, _: urllib.parse.unquote(encoded), where=f"{path}: ")
+    seen: set[str] = set()
+
+    def admit(encoded: str, lineno: int) -> str:
+        cid = urllib.parse.unquote(encoded)
+        if cid in seen:
+            raise VectorFormatError(f"{path}: line {lineno}: duplicate concept id {cid!r}")
+        seen.add(cid)
+        return cid
+
+    concepts, vectors = _read_rows(lines, dim, admit, where=f"{path}: ")
     if len(concepts) != count:
         raise VectorFormatError(f"{path}: header declares {count} rows, found {len(concepts)}")
 

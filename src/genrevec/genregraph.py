@@ -3,6 +3,8 @@
 Covers tag normalization (non-alphanumeric tokenization plus vocabulary-based
 splitting of concatenated genres), JSON-lines ingestion, connected-component
 filtering, attachment of external tag systems, and path-based relatedness.
+Components and path lengths come from ``scipy.sparse.csgraph`` on one
+adjacency matrix, built from the edge list when first needed.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ import logging
 import os
 import re
 import unicodedata
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from ._lines import atomic_write, iter_lines
 
@@ -117,7 +122,9 @@ class GenreGraph:
     """Typed genre graph: directed edge storage over an undirected adjacency.
 
     Nodes keep insertion order. Edges are stored as read (direction retained
-    for fidelity) but adjacency, components, and paths ignore direction.
+    for fidelity) but adjacency, components, and paths ignore direction:
+    they read one symmetric 0/1 sparse matrix, built from the edge list the
+    first time it is needed and dropped by every change to the graph.
     The word vocabulary used to normalize labels is kept so that tags
     attached later are normalized consistently.
     """
@@ -126,7 +133,8 @@ class GenreGraph:
         self._nodes: dict[str, GenreNode] = {}
         self._edges: list[GenreEdge] = []
         self._edge_keys: set[tuple[str, str, str]] = set()
-        self._adjacency: dict[str, set[str]] = {}
+        # node ids in insertion order, id -> position, and the symmetric 0/1 adjacency matrix
+        self._cache: tuple[list[str], dict[str, int], sparse.csr_matrix] | None = None
         self.word_vocabulary = frozenset(word_vocabulary)
 
     # -- construction -----------------------------------------------------
@@ -135,7 +143,7 @@ class GenreGraph:
         if node.id in self._nodes:
             raise GraphFormatError(f"duplicate node id {node.id!r}")
         self._nodes[node.id] = node
-        self._adjacency[node.id] = set()
+        self._cache = None
 
     def add_edge(self, src: str, dst: str, relation: str) -> bool:
         """Add a typed edge; returns False for an exact duplicate."""
@@ -152,8 +160,7 @@ class GenreGraph:
             return False
         self._edge_keys.add(key)
         self._edges.append(GenreEdge(src, dst, relation))
-        self._adjacency[src].add(dst)
-        self._adjacency[dst].add(src)
+        self._cache = None
         return True
 
     def copy(self) -> "GenreGraph":
@@ -161,8 +168,26 @@ class GenreGraph:
         out._nodes = dict(self._nodes)
         out._edges = list(self._edges)
         out._edge_keys = set(self._edge_keys)
-        out._adjacency = {nid: set(neighbors) for nid, neighbors in self._adjacency.items()}
         return out
+
+    def _structure(self) -> tuple[list[str], dict[str, int], sparse.csr_matrix]:
+        if self._cache is None:
+            ids = list(self._nodes)
+            position = {nid: i for i, nid in enumerate(ids)}
+            ends = np.array([(position[e.src], position[e.dst]) for e in self._edges], dtype=np.intp).reshape(-1, 2).T
+            both = np.hstack([ends, ends[::-1]])
+            matrix = sparse.csr_matrix((np.ones(both.shape[1]), tuple(both)), shape=(len(ids), len(ids)))
+            matrix.data[:] = 1.0  # parallel edges and both directions of a pair were summed
+            self._cache = ids, position, matrix
+        return self._cache
+
+    def _positions(self, node_ids: Iterable[str], error: type[Exception] = ValueError) -> np.ndarray:
+        """Matrix positions of the ids; `error` naming the first unknown one."""
+        position = self._structure()[1]
+        try:
+            return np.array([position[nid] for nid in node_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise error(f"unknown node id {exc.args[0]!r}") from None
 
     # -- views ------------------------------------------------------------
 
@@ -189,14 +214,13 @@ class GenreGraph:
         return node_id in self._nodes
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        if node_id not in self._nodes:
-            raise KeyError(f"unknown node id {node_id!r}")
-        return tuple(sorted(self._adjacency[node_id]))
+        ids, _, matrix = self._structure()
+        return tuple(sorted(ids[j] for j in matrix[self._positions([node_id], KeyError)[0]].indices))
 
     def degree(self, node_id: str) -> int:
-        if node_id not in self._nodes:
-            raise KeyError(f"unknown node id {node_id!r}")
-        return len(self._adjacency[node_id])
+        indptr = self._structure()[2].indptr
+        i = self._positions([node_id], KeyError)[0]
+        return int(indptr[i + 1] - indptr[i])
 
     def system_tags(self, system: str) -> list[str]:
         """Node ids attached under the given tag system, in insertion order."""
@@ -212,23 +236,14 @@ class GenreGraph:
 
     def connected_components(self) -> list[frozenset[str]]:
         """Undirected components, ordered by their smallest member id."""
-        seen: set[str] = set()
-        components: list[frozenset[str]] = []
-        for start in self._nodes:
-            if start in seen:
-                continue
-            queue = deque([start])
-            seen.add(start)
-            members = {start}
-            while queue:
-                current = queue.popleft()
-                for neighbor in self._adjacency[current]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        members.add(neighbor)
-                        queue.append(neighbor)
-            components.append(frozenset(members))
-        return sorted(components, key=min)
+        ids, _, matrix = self._structure()
+        if not ids:
+            return []
+        count, labels = csgraph.connected_components(matrix, directed=False)
+        members: list[list[str]] = [[] for _ in range(count)]
+        for nid, label in zip(ids, labels.tolist()):
+            members[label].append(nid)
+        return sorted((frozenset(group) for group in members), key=min)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenreGraph):
@@ -431,33 +446,27 @@ def attach_tag_system(
     return out
 
 
-def bfs_hops(graph: GenreGraph, source: str) -> dict[str, int]:
-    """Hop counts from `source` to every reachable node, ignoring direction."""
-    if not graph.has_node(source):
-        raise ValueError(f"unknown node id {source!r}")
-    hops = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in graph._adjacency[current]:
-            if neighbor not in hops:
-                hops[neighbor] = hops[current] + 1
-                queue.append(neighbor)
+def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:
+    """Shortest undirected path lengths, shape (sources, targets); inf where unreachable.
+
+    Raises ValueError naming the first unknown id, sources before targets.
+    One shortest-path row per source, so memory stays linear in the node count.
+    """
+    source_positions = graph._positions(sources)
+    target_positions = graph._positions(targets)
+    matrix = graph._structure()[2]
+    hops = np.empty((len(source_positions), len(target_positions)))
+    for row, i in enumerate(source_positions):
+        hops[row] = csgraph.shortest_path(matrix, unweighted=True, indices=i)[target_positions]
     return hops
 
 
 def shortest_path_similarity(graph: GenreGraph, a: str, b: str) -> float:
     """Relatedness 1/(1+L) from the shortest undirected path length L.
 
-    Identical nodes score 1; unreachable pairs score 0.
+    Identical nodes score 1; unreachable pairs score 0 (L is infinite).
     """
-    for node_id in (a, b):
-        if not graph.has_node(node_id):
-            raise ValueError(f"unknown node id {node_id!r}")
-    if a == b:
-        return 1.0
-    length = bfs_hops(graph, a).get(b)
-    return 0.0 if length is None else 1.0 / (1.0 + length)
+    return float(1.0 / (1.0 + hop_counts(graph, [a], [b])[0, 0]))
 
 
 def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .compose import ConceptEmbeddingMatrix
 from .genregraph import EQUIVALENCE_RELATIONS, GenreGraph
@@ -65,6 +64,8 @@ class RetrofitResult:
     pinned: tuple[str, ...]
     deltas: tuple[float, ...]
     converged: bool
+    objective_initial: float  # objective at Q-hat
+    objective_final: float  # objective at the returned matrix
 
 
 def _check_alignment(q: ConceptEmbeddingMatrix, q_hat: ConceptEmbeddingMatrix, graph: GenreGraph) -> None:
@@ -118,14 +119,12 @@ def _objective(q: np.ndarray, q_hat: np.ndarray, alpha: np.ndarray, w: sparse.cs
     return anchor + float(np.sum(q * _laplacian_times(w, q)))
 
 
-def _unanchored_components(concepts: list[str], alpha: np.ndarray, w: sparse.csr_matrix) -> list[list[str]]:
+def _unanchored_components(q_hat: ConceptEmbeddingMatrix, alpha: np.ndarray, graph: GenreGraph) -> list[list[str]]:
     """Connected components with no anchor weight, as sorted ids, ordered by smallest id."""
-    count, labels = connected_components(w, directed=False)
-    anchored = np.bincount(labels, weights=alpha, minlength=count) > 0.0
-    members: dict[int, list[str]] = {}
-    for i in np.flatnonzero(~anchored[labels]):
-        members.setdefault(int(labels[i]), []).append(concepts[i])
-    return sorted((sorted(ids) for ids in members.values()), key=lambda ids: ids[0])
+    return [
+        sorted(component) for component in graph.connected_components()
+        if not any(alpha[q_hat.index_of(cid)] > 0.0 for cid in component)
+    ]
 
 
 def objective(
@@ -208,7 +207,7 @@ def retrofit(
     pinned = tuple(q_hat.concepts[i] for i in np.flatnonzero(pinned_mask))
     if pinned:
         logger.warning("%d isolated unanchored nodes pinned at their initial vectors", len(pinned))
-    for component in _unanchored_components(q_hat.concepts, alpha, w):
+    for component in _unanchored_components(q_hat, alpha, graph):
         if len(component) > 1:
             logger.warning(
                 "component of %d nodes (e.g. %r) has no anchored concept; "
@@ -249,6 +248,8 @@ def retrofit(
         pinned=pinned,
         deltas=tuple(deltas),
         converged=converged,
+        objective_initial=_objective(q_hat.vectors, q_hat.vectors, alpha, w),
+        objective_final=_objective(matrix.vectors, q_hat.vectors, alpha, w),
     )
 
 
@@ -269,7 +270,7 @@ def solve_direct(
     cfg = cfg or RetrofitConfig()
     _check_alignment(q_hat, q_hat, graph)
     alpha, w = _weights(q_hat, graph, cfg)
-    unanchored = _unanchored_components(q_hat.concepts, alpha, w)
+    unanchored = _unanchored_components(q_hat, alpha, graph)
     if unanchored:
         raise SingularSystemError(
             f"component containing {unanchored[0][0]!r} has no anchor weight; system is singular"

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import GenreGraph, bfs_hops
+from .genregraph import GenreGraph, hop_counts
 
 logger = logging.getLogger(__name__)
 
@@ -86,8 +86,8 @@ def score_sets(
     source is normalized once; each set's resolved sources are multiplied
     against the targets and their cosine rows summed, and divided by the
     set's size for "avg". A set with no resolved source scores 0 everywhere.
-    "baseline" runs one BFS per distinct source and averages 1/(1 + hops)
-    over the set, requiring every id to be a graph node.
+    "baseline" computes one shortest-path row per distinct source and
+    averages 1/(1 + hops) over the set, requiring every id to be a graph node.
     """
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
@@ -102,40 +102,34 @@ def score_sets(
     if scorer == "baseline":
         if graph is None:
             raise ValueError("the baseline scorer requires the genre graph")
-        for tag in chain(*rows, targets):
-            if not graph.has_node(tag):
-                raise ValueError(f"unknown node id {tag!r}")
-        resolved_rows = [tuple(row) for row in rows]
-    else:
-        if embeddings is None:
-            raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-        try:
-            target_index = [embeddings.index_of(t) for t in targets]
-        except KeyError:
-            missing = next(t for t in targets if t not in embeddings)
-            raise ValueError(f"unresolvable target tag {missing!r}") from None
-        target_matrix = _normalize_rows(embeddings.vectors[target_index])
-        resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
-        dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
+        # first-seen order, so an unknown id is reported as in the rows
+        distinct = list(dict.fromkeys(chain(*rows)))
+        relatedness = dict(zip(distinct, 1.0 / (1.0 + hop_counts(graph, distinct, targets))))
+        for i, row in enumerate(rows):
+            scores[i] = sum(relatedness[source] for source in row) / len(row)
+        return scores, dropped
+
+    if embeddings is None:
+        raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
+    try:
+        target_index = [embeddings.index_of(t) for t in targets]
+    except KeyError:
+        missing = next(t for t in targets if t not in embeddings)
+        raise ValueError(f"unresolvable target tag {missing!r}") from None
+    target_matrix = _normalize_rows(embeddings.vectors[target_index])
+    resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
+    dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
 
     distinct = sorted({tag for resolved in resolved_rows for tag in resolved})
-    if scorer == "baseline":
-        relatedness = {}
-        for source in distinct:
-            hops = bfs_hops(graph, source)
-            relatedness[source] = np.array([1.0 / (1.0 + hops[t]) if t in hops else 0.0 for t in targets])
-        for i, resolved in enumerate(resolved_rows):
-            scores[i] = sum(relatedness[source] for source in resolved) / len(resolved)
-    else:
-        position = {tag: i for i, tag in enumerate(distinct)}
-        source_matrix = _normalize_rows(embeddings.vectors[[embeddings.index_of(s) for s in distinct]])
-        # One product per set rather than slices of one shared cosine block:
-        # BLAS rounds an entry differently depending on the shape of the
-        # product it belongs to, and this keeps every score equal to a one-set call.
-        for i, resolved in enumerate(resolved_rows):
-            if resolved:
-                values = (source_matrix[[position[s] for s in resolved]] @ target_matrix.T).sum(axis=0)
-                scores[i] = values / len(resolved) if scorer == "avg" else values
+    position = {tag: i for i, tag in enumerate(distinct)}
+    source_matrix = _normalize_rows(embeddings.vectors[[embeddings.index_of(s) for s in distinct]])
+    # One product per set rather than slices of one shared cosine block:
+    # BLAS rounds an entry differently depending on the shape of the
+    # product it belongs to, and this keeps every score equal to a one-set call.
+    for i, resolved in enumerate(resolved_rows):
+        if resolved:
+            values = (source_matrix[[position[s] for s in resolved]] @ target_matrix.T).sum(axis=0)
+            scores[i] = values / len(resolved) if scorer == "avg" else values
     return scores, dropped
 
 

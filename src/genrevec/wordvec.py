@@ -75,7 +75,9 @@ def load_vectors(
     min(count, limit) entries are kept, in file order. Words are stored
     NFC-normalized and lowercased; rows whose words collide with an earlier
     entry after that normalization are dropped with a warning, while a
-    byte-identical duplicate word is rejected as a malformed file.
+    byte-identical duplicate word is rejected as a malformed file. Input that
+    ends before `count` rows (dropped rows included) without `limit` stopping
+    the read is rejected as truncated.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be a positive integer, got {limit}")
@@ -100,6 +102,8 @@ def load_vectors(
         return key
 
     words, matrix = _read_rows(lines, dim, admit, cap=cap)
+    if len(words) < cap and len(words) + collisions < count:  # the input ended, not the cap
+        raise VectorFormatError(f"header declares {count} rows, found {len(words) + collisions}")
     if collisions:
         logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
     return WordVectorStore(dim=dim, words=words, matrix=matrix)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from collections import deque
 
 import numpy as np
 
@@ -43,6 +44,42 @@ def bare_graph(node_ids: list[str], edges: list[tuple[str, str, str]], language:
     for src, dst, relation in edges:
         graph.add_edge(src, dst, relation)
     return graph
+
+
+def _undirected_neighbors(graph: GenreGraph) -> dict[str, set[str]]:
+    neighbors: dict[str, set[str]] = {nid: set() for nid in graph.nodes}
+    for edge in graph.edges:
+        neighbors[edge.src].add(edge.dst)
+        neighbors[edge.dst].add(edge.src)
+    return neighbors
+
+
+def bfs_hops(graph: GenreGraph, source: str) -> dict[str, int]:
+    """Oracle: hop counts from `source` to every reachable node, ignoring direction (Python BFS)."""
+    if not graph.has_node(source):
+        raise ValueError(f"unknown node id {source!r}")
+    neighbors = _undirected_neighbors(graph)
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        current = queue.popleft()
+        for neighbor in neighbors[current]:
+            if neighbor not in hops:
+                hops[neighbor] = hops[current] + 1
+                queue.append(neighbor)
+    return hops
+
+
+def bfs_components(graph: GenreGraph) -> list[frozenset[str]]:
+    """Oracle: undirected components by Python BFS, ordered by their smallest member id."""
+    seen: set[str] = set()
+    components = []
+    for start in graph.nodes:
+        if start not in seen:
+            members = frozenset(bfs_hops(graph, start))
+            seen |= members
+            components.append(members)
+    return sorted(components, key=min)
 
 
 def random_instance(seed: int, max_nodes: int = 50, max_dim: int = 8, unknown_fraction: float = 0.2):

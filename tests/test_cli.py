@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline on the demo dataset."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -100,7 +101,12 @@ class TestPipeline:
         monkeypatch.setattr(EvalReport, "to_dict", lambda self: {"fold_aucs": [], "zzz": object()})
         with pytest.raises(TypeError):
             main(["evaluate", "--config", config])
-        monkeypatch.setattr(cli, "objective", lambda *args: object())
+        real_retrofit = cli.retrofit
+
+        def unserializable(*args):
+            return dataclasses.replace(real_retrofit(*args), objective_final=object())
+
+        monkeypatch.setattr(cli, "retrofit", unserializable)
         with pytest.raises(TypeError):
             main(["retrofit", "--config", config])
         assert {entry.name: entry.read_bytes() for entry in out_dir(root).iterdir()} == before

@@ -113,6 +113,43 @@ class TestSifWeightedMeans:
         np.testing.assert_allclose(means[0], expected)
 
 
+def token_loop_compose(tokens_per_concept, space, languages, a=None):
+    """Reference: each concept's tokens walked one lookup at a time, as compose_avg
+    (a is None) or sif_weighted_means (a given) accumulate them."""
+    rows, known = [], []
+    for cid, tokens in tokens_per_concept.items():
+        acc, hits = np.zeros(space.dim), 0
+        for token in tokens:
+            found = space.lookup(token, languages[cid])
+            if found is not None:
+                acc += found[0] if a is None else (a / (a + estimate_frequency(found[1]))) * found[0]
+                hits += 1
+        rows.append(acc / len(tokens) if a is None else (acc / hits if hits else acc))
+        known.append(hits > 0)
+    return np.array(rows), np.array(known)
+
+
+class TestTokenResolution:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_compositions_match_the_token_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(30)]
+        stores = {
+            lang: make_store([(w, rng.normal(size=5).tolist()) for w in rng.permutation(words)[:20]])
+            for lang in ("en", "fr")
+        }
+        space = VectorSpace(stores)
+        tokens = {f"c{i}": list(rng.choice(words + ["oov"], size=int(rng.integers(1, 5)))) for i in range(40)}
+        languages = {cid: ("en", "fr")[i % 2] for i, cid in enumerate(tokens)}
+        matrix = compose_avg(tokens, space, languages=languages)
+        vectors, known = token_loop_compose(tokens, space, languages)
+        assert matrix.vectors.tobytes() == vectors.tobytes() and matrix.known.tolist() == known.tolist()
+        means, known_sif = sif_weighted_means(tokens, space, a=1e-3, languages=languages)
+        vectors, known = token_loop_compose(tokens, space, languages, a=1e-3)
+        assert means.tobytes() == vectors.tobytes() and known_sif.tolist() == known.tolist()
+        assert not known.all() and known.any()
+
+
 class TestPrincipalDirection:
     def test_matches_dense_svd_on_random_matrices(self):
         rng = np.random.default_rng(42)
@@ -278,6 +315,23 @@ class TestMatrixSerialization:
             path.write_text(f"{header}\na 1 0\n", encoding="utf-8")
             with pytest.raises(VectorFormatError, match="line 1: invalid header"):
                 load_matrix(path)
+
+
+    @pytest.mark.parametrize("second", ["jazz", "%6Aazz"], ids=["same-spelling", "percent-encoded"])
+    def test_duplicate_concept_id_names_file_and_line(self, tmp_path, caplog, second):
+        path = tmp_path / "dup.vec"
+        path.write_text(f"3 1\nrock 1\njazz 2\n{second} 3\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            with pytest.raises(VectorFormatError, match="line 4: duplicate concept id 'jazz'") as raised:
+                load_matrix(path)
+        assert str(raised.value).startswith(f"{path}: ")
+        assert "sidecar" not in caplog.text
+
+    def test_percent_encoded_spellings_of_one_id_collide(self, tmp_path):
+        path = tmp_path / "dup.vec"
+        path.write_text("2 1\n%41 1\nA 2\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="line 3: duplicate concept id 'A'"):
+            load_matrix(path)
 
 
 class TestAtomicWrite:

@@ -24,10 +24,10 @@ from genrevec.evaluation import (
     stratified_split,
 )
 from genrevec.fixtures import write_demo_dataset
-from genrevec.genregraph import RELATIONS, bfs_hops, load_saved_graph, tag_node_id
+from genrevec.genregraph import RELATIONS, load_saved_graph, tag_node_id
 from genrevec.translate import translate
 
-from helpers import bare_graph, paired_corpus, synthetic_corpus
+from helpers import bare_graph, bfs_hops, paired_corpus, synthetic_corpus
 
 
 def corpus_lines(records):

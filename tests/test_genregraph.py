@@ -1,7 +1,9 @@
 """Tests for graph normalization, ingestion, filtering, attachment, and paths."""
 
 import io
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,11 @@ from genrevec.genregraph import (
     EQUIVALENCE_RELATIONS,
     RELATIONS,
     GenreGraph,
+    GenreNode,
     GraphFormatError,
     attach_tag_system,
     filter_graph,
+    hop_counts,
     load_graph,
     load_lemma_table,
     load_saved_graph,
@@ -24,7 +28,7 @@ from genrevec.genregraph import (
     write_nodes_jsonl,
 )
 
-from helpers import bare_graph
+from helpers import bare_graph, bfs_components, bfs_hops
 
 
 class TestNormalizeTag:
@@ -317,6 +321,99 @@ class TestShortestPathSimilarity:
     def test_direction_ignored(self):
         graph = bare_graph(["A", "B"], [("B", "A", "stylisticOrigin")])
         assert shortest_path_similarity(graph, "A", "B") == pytest.approx(0.5)
+
+
+def random_graph(seed: int):
+    """Several components, isolated nodes, and pairs joined by parallel and reversed edges."""
+    rng = random.Random(seed)
+    ids = [f"g{i:02d}" for i in range(rng.randint(1, 40))]
+    relations = sorted(RELATIONS)
+    edges = []
+    for _ in range(rng.randint(0, 2 * len(ids))):
+        a, b = rng.sample(ids, 2) if len(ids) > 1 else (ids[0], ids[0])
+        if a != b:
+            edges.append((a, b, rng.choice(relations)))
+    if len(ids) > 1:
+        a, b = ids[0], ids[-1]
+        edges += [(a, b, "sameAs"), (b, a, "sameAs"), (a, b, "derivative")]
+    ids += ["lone1", "lone2"]
+    rng.shuffle(ids)  # insertion order is not id order
+    return bare_graph(ids, edges)
+
+
+def oracle_hops(graph, sources, targets):
+    rows = []
+    for source in sources:
+        hops = bfs_hops(graph, source)
+        rows.append([float(hops[t]) if t in hops else np.inf for t in targets])
+    return np.array(rows).reshape(len(sources), len(targets))
+
+
+class TestAdjacency:
+    """Components and hop counts from the sparse adjacency, against the Python BFS oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_bfs_oracle_on_random_graphs(self, seed):
+        graph = random_graph(seed)
+        ids = graph.node_ids()
+        sources = random.Random(seed).sample(ids, min(len(ids), 7))
+        assert graph.connected_components() == bfs_components(graph)
+        np.testing.assert_array_equal(hop_counts(graph, sources, ids), oracle_hops(graph, sources, ids))
+        for nid in ids:
+            expected = sorted({e.src if e.dst == nid else e.dst for e in graph.edges if nid in (e.src, e.dst)})
+            assert graph.neighbors(nid) == tuple(expected)
+            assert graph.degree(nid) == len(expected)
+
+    def test_parallel_and_reversed_edges_make_one_neighbor(self):
+        graph = bare_graph(["A", "B"], [("A", "B", "sameAs"), ("B", "A", "sameAs"), ("A", "B", "derivative")])
+        assert graph.neighbors("A") == ("B",) and graph.degree("B") == 1
+        np.testing.assert_array_equal(hop_counts(graph, ["A", "B"], ["A", "B"]), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_hop_counts_shape_and_unreachable(self):
+        graph = bare_graph(["A", "B", "C"], [("A", "B", "musicSubgenre")])
+        hops = hop_counts(graph, ["A"], ["C", "B", "A"])
+        assert hops.shape == (1, 3) and hops.dtype == np.float64
+        np.testing.assert_array_equal(hops, [[np.inf, 1.0, 0.0]])
+        assert hop_counts(graph, [], ["A"]).shape == (0, 1)
+
+    def test_unknown_id_named_sources_first(self):
+        graph = bare_graph(["A"], [])
+        with pytest.raises(ValueError, match="unknown node id 'Y'"):
+            hop_counts(graph, ["A", "Y"], ["Z"])
+        with pytest.raises(ValueError, match="unknown node id 'Z'"):
+            hop_counts(graph, ["A"], ["Z"])
+        with pytest.raises(KeyError, match="unknown node id"):
+            graph.neighbors("Z")
+        with pytest.raises(KeyError, match="unknown node id"):
+            graph.degree("Z")
+
+    def test_changes_after_first_use_are_seen(self):
+        graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
+        assert graph.degree("C") == 0 and graph.neighbors("A") == ("B",)
+        assert len(graph.connected_components()) == 2
+        assert hop_counts(graph, ["A"], ["C"])[0, 0] == np.inf
+        graph.add_edge("C", "B", "derivative")
+        assert graph.degree("C") == 1 and graph.neighbors("B") == ("A", "C")
+        assert graph.connected_components() == [frozenset({"A", "B", "C"})]
+        assert hop_counts(graph, ["A"], ["C"])[0, 0] == 2.0
+        graph.add_node(GenreNode(id="D", language="en", raw_label="D", tokens=("d",)))
+        assert graph.degree("D") == 0 and graph.neighbors("D") == ()
+        assert graph.connected_components() == [frozenset({"A", "B", "C"}), frozenset({"D"})]
+        assert hop_counts(graph, ["D"], ["A", "D"]).tolist() == [[np.inf, 0.0]]
+
+    def test_edge_added_to_copy_leaves_original_unchanged(self):
+        graph = bare_graph(["A", "B"], [])
+        assert graph.connected_components() == [frozenset({"A"}), frozenset({"B"})]
+        twin = graph.copy()
+        twin.add_edge("A", "B", "sameAs")
+        assert twin.degree("A") == 1 and twin.connected_components() == [frozenset({"A", "B"})]
+        assert graph.degree("A") == 0 and graph.neighbors("B") == ()
+        assert graph.connected_components() == [frozenset({"A"}), frozenset({"B"})]
+        assert hop_counts(graph, ["A"], ["B"])[0, 0] == np.inf
+
+    def test_empty_graph_has_no_components(self):
+        assert GenreGraph().connected_components() == []
+        assert filter_graph(GenreGraph(), ["x"]).connected_components() == []
 
 
 class TestRelationSets:

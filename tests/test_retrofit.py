@@ -250,6 +250,36 @@ class TestRetrofit:
         assert result.converged is False
         assert "not converged" in caplog.text
 
+    def test_objective_values_are_the_public_objective(self):
+        for seed in range(6):
+            graph, matrix = random_instance(seed)
+            for scheme in ("uniform", "typed"):
+                cfg = RetrofitConfig(scheme=scheme)
+                result = retrofit(matrix, graph, cfg)
+                assert result.objective_initial == objective(matrix, matrix, graph, cfg)
+                assert result.objective_final == objective(result.matrix, matrix, graph, cfg)
+
+    def test_unanchored_components_warned_by_smallest_id(self, caplog):
+        # concepts listed in another order than the graph's nodes
+        graph = bare_graph(
+            ["K", "V2", "V1", "U3", "U2", "Z"],
+            [("K", "Z", "sameAs"), ("V2", "V1", "derivative"), ("U3", "U2", "sameAs")],
+        )
+        ids = ["Z", "U2", "U3", "V1", "V2", "K"]
+        known = np.array([False, False, False, False, False, True])
+        matrix = ConceptEmbeddingMatrix(ids, np.where(known[:, None], 1.0, 0.0) * np.ones((6, 2)), known)
+        with caplog.at_level("WARNING"):
+            retrofit(matrix, graph, RetrofitConfig())
+        warned = [r.getMessage() for r in caplog.records if "no anchored concept" in r.getMessage()]
+        assert warned == [
+            "component of 2 nodes (e.g. 'U2') has no anchored concept; "
+            "its vectors settle on neighbor averages of their initial values",
+            "component of 2 nodes (e.g. 'V1') has no anchored concept; "
+            "its vectors settle on neighbor averages of their initial values",
+        ]
+        with pytest.raises(SingularSystemError, match="component containing 'U2'"):
+            solve_direct(matrix, graph, RetrofitConfig())
+
 
 class TestWeights:
     def test_matches_per_pair_oracle(self):

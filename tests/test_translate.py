@@ -7,7 +7,7 @@ import pytest
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.retrofit import RetrofitConfig, retrofit
-from genrevec.translate import cosine, score_avg, score_sum, translate
+from genrevec.translate import cosine, score_avg, score_sets, score_sum, translate
 
 from helpers import bare_graph
 
@@ -212,3 +212,10 @@ class TestBaselineScorer:
     def test_requires_graph(self):
         with pytest.raises(ValueError, match="graph"):
             translate(["a"], ["b"], scorer="baseline")
+
+    def test_first_unknown_id_in_set_order_is_named(self):
+        # sets in order, each set's tags sorted, then the targets: 'z' before 'y' and 'x'
+        with pytest.raises(ValueError, match="unknown node id 'z'"):
+            score_sets([{"z", "a"}, {"y"}], ["x"], scorer="baseline", graph=self.chain())
+        with pytest.raises(ValueError, match="unknown node id 'x'"):
+            score_sets([{"c", "a"}, {"b"}], ["x"], scorer="baseline", graph=self.chain())

@@ -80,6 +80,21 @@ class TestLoadVectors:
         with pytest.raises(VectorFormatError, match="line 3.*non-finite"):
             load_vectors(io.StringIO("2 2\nrock 1 0\npop -inf 1\n"))
 
+    def test_truncated_file_rejected(self):
+        with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 1$"):
+            load_vectors(io.StringIO("3 2\nrock 1 0\n"))
+
+    def test_rows_dropped_as_collisions_count_as_read(self):
+        assert load_vectors(io.StringIO("2 2\nRock 1 0\nrock 2 2\n")).words == ["rock"]
+        with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 2$"):
+            load_vectors(io.StringIO("3 2\nRock 1 0\nrock 2 2\n"))
+
+    def test_limit_below_row_count_still_loads(self):
+        store = load_vectors(io.StringIO("3 2\nrock 1 0\npop 0 1\n"), limit=1)
+        assert store.words == ["rock"]
+        with pytest.raises(VectorFormatError, match="found 2"):
+            load_vectors(io.StringIO("3 2\nrock 1 0\npop 0 1\n"), limit=3)
+
     def test_byte_stream(self):
         store = load_vectors(io.BytesIO(BASIC.encode("utf-8")))
         assert len(store) == 2
@@ -122,6 +137,7 @@ def reference_load_vectors(text: str, limit: int | None = None) -> tuple[list[st
     count, dim = _parse_header(next(lines, None))
     cap = count if limit is None else min(count, limit)
     words, rows, seen_raw, seen_keys = [], [], set(), set()
+    read = 0
     for lineno, line in enumerate(lines, start=2):
         if len(words) >= cap:
             break
@@ -131,12 +147,15 @@ def reference_load_vectors(text: str, limit: int | None = None) -> tuple[list[st
         if raw_word in seen_raw:
             raise VectorFormatError(f"line {lineno}: duplicate word {raw_word!r}")
         seen_raw.add(raw_word)
+        read += 1
         key = normalize_word(raw_word)
         if key in seen_keys:
             continue
         seen_keys.add(key)
         words.append(key)
         rows.append(vector)
+    if len(words) < cap and read < count:
+        raise VectorFormatError(f"header declares {count} rows, found {read}")
     return words, np.vstack(rows) if rows else np.zeros((0, dim))
 
 
@@ -149,7 +168,10 @@ def reference_load_matrix(path: str) -> tuple[list[str], np.ndarray]:
         if not line:
             continue
         encoded, vector = _parse_row(line, lineno, dim, where=f"{path}: ")
-        concepts.append(urllib.parse.unquote(encoded))
+        cid = urllib.parse.unquote(encoded)
+        if cid in concepts:
+            raise VectorFormatError(f"{path}: line {lineno}: duplicate concept id {cid!r}")
+        concepts.append(cid)
         rows.append(vector)
     if len(concepts) != count:
         raise VectorFormatError(f"{path}: header declares {count} rows, found {len(concepts)}")
