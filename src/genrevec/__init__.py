@@ -38,7 +38,6 @@ from .genregraph import (
     load_saved_graph,
     normalize_tag,
     save_graph,
-    shortest_path_similarity,
     tag_node_id,
 )
 from .retrofit import (
@@ -48,9 +47,8 @@ from .retrofit import (
     objective_gradient,
     retrofit,
     solve_direct,
-    update_step,
 )
-from .translate import TranslationResult, cosine, score_avg, score_sum, translate
+from .translate import TranslationResult, cosine, translate
 from .wordvec import VectorSpace, WordVectorStore, estimate_frequency, load_vectors
 
 __all__ = [
@@ -89,12 +87,8 @@ __all__ = [
     "retrofit",
     "save_graph",
     "save_matrix",
-    "score_avg",
-    "score_sum",
-    "shortest_path_similarity",
     "solve_direct",
     "stratified_split",
     "tag_node_id",
     "translate",
-    "update_step",
 ]

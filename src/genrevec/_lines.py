@@ -1,4 +1,4 @@
-"""Text file I/O: line iteration over paths, byte streams, text streams, and
+"""File I/O: line iteration over paths, byte streams, text streams, and
 string iterables, and artifact writes that replace a file atomically."""
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ def iter_lines(source: str | os.PathLike | IO | Iterable[str]) -> Iterator[str]:
 
 
 @contextlib.contextmanager
-def atomic_write(path: str | os.PathLike) -> Iterator[IO[str]]:
-    """Open a UTF-8 text handle whose contents replace `path` when the block ends.
+def atomic_write(path: str | os.PathLike, binary: bool = False) -> Iterator[IO]:
+    """Open a handle whose contents replace `path` when the block ends.
 
-    The text goes to a new temporary file in the same directory, which
+    The handle writes UTF-8 text, or bytes when `binary` is true. The
+    contents go to a new temporary file in the same directory, which
     `os.replace` moves over `path` only after the block completes, so a
     reader sees the previous file or the whole new one. If the block raises,
     the temporary file is removed and `path` is left as it was.
@@ -40,7 +41,7 @@ def atomic_write(path: str | os.PathLike) -> Iterator[IO[str]]:
     path = os.fspath(path)
     directory, name = os.path.split(path)
     temporary = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
-    handle = open(temporary, "x", encoding="utf-8", newline="\n")
+    handle = open(temporary, "xb") if binary else open(temporary, "x", encoding="utf-8", newline="\n")
     try:
         with handle:
             yield handle

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import logging
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from ._lines import atomic_write
-from .compose import compose_avg, compose_sif, load_matrix, save_matrix
+from .compose import ConceptEmbeddingMatrix, compose_avg, compose_sif, load_matrix, save_matrix
 from .evaluation import EvalReport, evaluate, load_corpus, stratified_split
 from .genregraph import attach_tag_system, filter_graph, load_graph, load_lemma_table, load_saved_graph, save_graph
 from .retrofit import SCHEMES, RetrofitConfig, retrofit
@@ -127,11 +128,26 @@ def _graph_path(config: PipelineConfig) -> Path:
 
 
 def _embeddings_path(config: PipelineConfig) -> Path:
-    return _workdir(config) / "embeddings.vec"
+    return _workdir(config) / "embeddings.npz"
 
 
 def _retrofitted_path(config: PipelineConfig) -> Path:
-    return _workdir(config) / "retrofitted.vec"
+    return _workdir(config) / "retrofitted.npz"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _load_paired_matrix(matrix_path: Path, graph_path: Path) -> tuple[ConceptEmbeddingMatrix, dict]:
+    """Load a matrix file, rejecting it unless it was built against the current graph file."""
+    matrix, metadata = load_matrix(matrix_path)
+    if metadata.get("graph_sha256") != _sha256(graph_path):
+        raise ValueError(
+            f"{matrix_path} was not built against the current {graph_path}; "
+            "rerun `genrevec embed` (and `genrevec retrofit`) after `genrevec build-graph`"
+        )
+    return matrix, metadata
 
 
 def cmd_build_graph(config: PipelineConfig) -> Path:
@@ -155,7 +171,8 @@ def cmd_build_graph(config: PipelineConfig) -> Path:
 
 def cmd_embed(config: PipelineConfig) -> Path:
     """Compose initial embeddings for every graph node; write the matrix."""
-    graph = load_saved_graph(_graph_path(config))
+    graph_path = _graph_path(config)
+    graph = load_saved_graph(graph_path)
     stores = {lang: load_vectors(path) for lang, path in config.vectors.items()}
     space = VectorSpace(stores)
     tokens = {node.id: list(node.tokens) for node in graph.nodes.values()}
@@ -167,7 +184,8 @@ def cmd_embed(config: PipelineConfig) -> Path:
     if not matrix.known.any():
         raise ValueError("no concept has any in-vocabulary word; check the vector files")
     destination = _embeddings_path(config)
-    save_matrix(matrix, destination, metadata={"composition": config.composition, "sif_a": config.sif_a})
+    metadata = {"composition": config.composition, "sif_a": config.sif_a, "graph_sha256": _sha256(graph_path)}
+    save_matrix(matrix, destination, metadata=metadata)
     known = int(matrix.known.sum())
     print(f"embeddings written to {destination} ({known}/{len(matrix)} concepts known)")
     return destination
@@ -175,8 +193,9 @@ def cmd_embed(config: PipelineConfig) -> Path:
 
 def cmd_retrofit(config: PipelineConfig) -> Path:
     """Refine the composed embeddings against the graph; write matrix and log."""
-    graph = load_saved_graph(_graph_path(config))
-    q_hat, metadata = load_matrix(_embeddings_path(config))
+    graph_path = _graph_path(config)
+    graph = load_saved_graph(graph_path)
+    q_hat, metadata = _load_paired_matrix(_embeddings_path(config), graph_path)
     result = retrofit(q_hat, graph, config.retrofit_config())
     destination = _retrofitted_path(config)
     save_matrix(result.matrix, destination, metadata={**metadata, "scheme": config.scheme})
@@ -203,13 +222,14 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
 
 
 def _load_translation_inputs(config: PipelineConfig, scorer: str, matrix_path: str | None):
-    graph = load_saved_graph(_graph_path(config))
+    graph_path = _graph_path(config)
+    graph = load_saved_graph(graph_path)
     embeddings = None
     if scorer != "baseline":
         path = Path(matrix_path) if matrix_path else _retrofitted_path(config)
         if not path.exists():
             path = _embeddings_path(config)
-        embeddings, _ = load_matrix(path)
+        embeddings, _ = _load_paired_matrix(path, graph_path)
     return graph, embeddings
 
 

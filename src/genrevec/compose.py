@@ -2,26 +2,23 @@
 
 Two strategies: plain averaging of the constituent word vectors, and
 smooth-inverse-frequency weighting followed by removal of the shared
-dominant direction of the composed matrix.
+dominant direction of the composed matrix. Matrices are saved and loaded
+as exact binary ``.npz`` archives.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
-import urllib.parse
+import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._lines import atomic_write, iter_lines
-from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency, _parse_header, _read_rows
-
-logger = logging.getLogger(__name__)
+from ._lines import atomic_write
+from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency
 
 DEFAULT_SIF_A = 1e-3
 POWER_ITERATION_TOLERANCE = 1e-10
@@ -222,8 +219,7 @@ def compose_sif(
     return ConceptEmbeddingMatrix(concepts=list(tokens_per_concept), vectors=vectors, known=known)
 
 
-def _meta_path(path: str | os.PathLike) -> Path:
-    return Path(str(path) + ".meta.json")
+MATRIX_ARRAYS = ("concepts", "vectors", "known", "metadata")
 
 
 def save_matrix(
@@ -231,60 +227,75 @@ def save_matrix(
     path: str | os.PathLike,
     metadata: Mapping[str, object] | None = None,
 ) -> None:
-    """Write a concept matrix in the word-vector text format.
+    """Write a concept matrix as one uncompressed ``.npz`` archive at `path`.
 
-    Concept identifiers are percent-encoded so rows stay single-space
-    separated regardless of the characters in the id. Known flags and any
-    extra metadata go to a JSON sidecar at '<path>.meta.json'.
+    The archive holds four arrays: ``concepts`` (1-D unicode), ``vectors``
+    (float64, concepts x dim), ``known`` (bool) and ``metadata`` (a 0-d
+    unicode JSON object with sorted keys). Every value reads back exactly.
+    `path` is used as given: no suffix is added.
     """
-    path = Path(path)
-    row_format = "%s " + " ".join(["%.10g"] * matrix.dim) + "\n"
-    with atomic_write(path) as handle:
-        handle.write(f"{len(matrix)} {matrix.dim}\n")
-        for cid, row in zip(matrix.concepts, matrix.vectors):
-            # row by row: a whole-matrix tolist() would hold every component as a Python float at once
-            handle.write(row_format % (urllib.parse.quote(cid, safe=""), *row.tolist()))
-    sidecar = {
-        "known": [bool(flag) for flag in matrix.known],
-        "metadata": dict(metadata) if metadata else {},
+    # a numpy unicode array drops trailing NULs, so such an id would read back as another id
+    unstorable = next((cid for cid in matrix.concepts if cid.endswith("\0")), None)
+    if unstorable is not None:
+        raise ValueError(f"concept id {unstorable!r} ends with a NUL character, which the matrix file cannot hold")
+    arrays = {
+        "concepts": np.array(matrix.concepts, dtype=str),
+        "vectors": matrix.vectors,
+        "known": matrix.known,
+        "metadata": np.array(json.dumps(dict(metadata or {}), sort_keys=True)),
     }
-    with atomic_write(_meta_path(path)) as handle:
-        json.dump(sidecar, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    # an open handle, not a path: given a path, numpy appends '.npz' and writes in place
+    with atomic_write(path, binary=True) as handle:
+        np.savez(handle, **arrays)
 
 
 def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
-    """Read a concept matrix written by :func:`save_matrix`.
+    """Read a concept matrix written by :func:`save_matrix`; returns (matrix, metadata).
 
-    Unlike word-vector loading, concept ids are kept exact (percent-decoded,
-    no case folding). Without a sidecar the known flags fall back to
-    "row is nonzero". Returns (matrix, metadata).
+    Any file that is not such an archive, such as a text matrix of an older
+    version, and any array of the wrong type or shape, non-finite component
+    or repeated concept id raises :class:`VectorFormatError` naming `path`.
     """
-    lines = iter_lines(path)
-    count, dim = _parse_header(next(lines, None), where=f"{path}: ")
-    seen: set[str] = set()
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise VectorFormatError(f"{path}: not a concept matrix .npz archive; rerun `genrevec embed` to rewrite it")
+    with archive:
+        missing = [name for name in MATRIX_ARRAYS if name not in archive.files]
+        if missing:
+            raise VectorFormatError(f"{path}: missing array {missing[0]!r}")
+        try:
+            concepts, vectors, known, metadata = (archive[name] for name in MATRIX_ARRAYS)
+        except (ValueError, EOFError, zipfile.BadZipFile) as error:
+            raise VectorFormatError(f"{path}: unreadable array ({error})") from None
 
-    def admit(encoded: str, lineno: int) -> str:
-        cid = urllib.parse.unquote(encoded)
-        if cid in seen:
-            raise VectorFormatError(f"{path}: line {lineno}: duplicate concept id {cid!r}")
-        seen.add(cid)
-        return cid
-
-    concepts, vectors = _read_rows(lines, dim, admit, where=f"{path}: ")
-    if len(concepts) != count:
-        raise VectorFormatError(f"{path}: header declares {count} rows, found {len(concepts)}")
-
-    meta_file = _meta_path(path)
-    metadata: dict = {}
-    if meta_file.exists():
-        with open(meta_file, "r", encoding="utf-8") as handle:
-            sidecar = json.load(handle)
-        known = np.asarray(sidecar.get("known", []), dtype=bool)
-        if known.shape != (len(concepts),):
-            raise VectorFormatError(f"{meta_file}: known flags do not match {len(concepts)} rows")
-        metadata = dict(sidecar.get("metadata", {}))
-    else:
-        logger.warning("%s: no metadata sidecar, deriving known flags from nonzero rows", path)
-        known = np.any(vectors != 0.0, axis=1)
+    if vectors.dtype != np.float64 or vectors.ndim != 2:
+        raise VectorFormatError(f"{path}: vectors must be a 2-D float64 array, found {vectors.dtype} {vectors.shape}")
+    n = len(vectors)
+    if concepts.dtype.kind != "U" or concepts.shape != (n,):
+        raise VectorFormatError(
+            f"{path}: concepts must be a 1-D unicode array of {n} ids, found {concepts.dtype} {concepts.shape}"
+        )
+    if known.dtype != bool or known.shape != (n,):
+        raise VectorFormatError(f"{path}: known must be a bool array of shape ({n},), found {known.dtype} {known.shape}")
+    if metadata.dtype.kind != "U" or metadata.ndim != 0:
+        raise VectorFormatError(f"{path}: metadata must be a 0-d unicode array, found {metadata.dtype} {metadata.shape}")
+    try:
+        metadata = json.loads(metadata.item())
+    except json.JSONDecodeError:
+        metadata = None
+    if not isinstance(metadata, dict):
+        raise VectorFormatError(f"{path}: metadata is not a JSON object")
+    concepts = concepts.tolist()
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise VectorFormatError(f"{path}: non-finite vector component for concept {concepts[np.argmin(finite)]!r}")
+    if len(set(concepts)) != n:
+        seen: set[str] = set()
+        for cid in concepts:
+            if cid in seen:
+                raise VectorFormatError(f"{path}: duplicate concept id {cid!r}")
+            seen.add(cid)
     return ConceptEmbeddingMatrix(concepts=concepts, vectors=vectors, known=known), metadata

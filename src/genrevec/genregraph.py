@@ -461,14 +461,6 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
     return hops
 
 
-def shortest_path_similarity(graph: GenreGraph, a: str, b: str) -> float:
-    """Relatedness 1/(1+L) from the shortest undirected path length L.
-
-    Identical nodes score 1; unreachable pairs score 0 (L is infinite).
-    """
-    return float(1.0 / (1.0 + hop_counts(graph, [a], [b])[0, 0]))
-
-
 def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:
     """Emit nodes in the ingestion format (id, lang, label)."""
     for node in graph.nodes.values():

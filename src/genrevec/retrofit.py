@@ -27,10 +27,6 @@ logger = logging.getLogger(__name__)
 SCHEMES = ("uniform", "typed")
 
 
-class ZeroDenominatorError(ValueError):
-    """A node has neither an anchor weight nor a neighbor, so its update is undefined."""
-
-
 class SingularSystemError(ValueError):
     """The stationarity system has no unique solution (an unanchored component)."""
 
@@ -154,28 +150,6 @@ def objective_gradient(
     _check_alignment(q, q_hat, graph)
     alpha, w = _weights(q_hat, graph, cfg)
     return 2.0 * alpha[:, None] * (q.vectors - q_hat.vectors) + 2.0 * _laplacian_times(w, q.vectors)
-
-
-def update_step(
-    q: ConceptEmbeddingMatrix,
-    q_hat: ConceptEmbeddingMatrix,
-    graph: GenreGraph,
-    cfg: RetrofitConfig,
-) -> tuple[ConceptEmbeddingMatrix, float]:
-    """One simultaneous fixed-point sweep: all new vectors from the old Q.
-
-    Returns the updated matrix and the largest per-node displacement.
-    Raises :class:`ZeroDenominatorError` for a node with no anchor weight
-    and no neighbors.
-    """
-    _check_alignment(q, q_hat, graph)
-    alpha, w = _weights(q_hat, graph, cfg)
-    denominator = alpha + _strength(w)
-    dead = np.flatnonzero(denominator == 0.0)
-    if dead.size:
-        raise ZeroDenominatorError(f"node {q_hat.concepts[dead[0]]!r} has no anchor weight and no neighbors")
-    updated = (w @ q.vectors + alpha[:, None] * q_hat.vectors) / denominator[:, None]
-    return q.copy_with(vectors=updated), _max_displacement(updated, q.vectors)
 
 
 def _max_displacement(new: np.ndarray, old: np.ndarray) -> float:

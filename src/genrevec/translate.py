@@ -4,8 +4,8 @@ Scores are cosine similarities over concept embeddings, aggregated by sum or
 mean across the source set, or shortest-path relatedness over the genre
 graph for the baseline. :func:`score_sets` scores many source sets against
 one target list in one pass, as evaluation does; :func:`translate` is its
-one-set call, with ranking. The scalar :func:`cosine`, :func:`score_sum`
-and :func:`score_avg` define the same scores one pair at a time.
+one-set call, with ranking. The scalar :func:`cosine` gives the same
+similarity for one pair of vectors.
 """
 
 from __future__ import annotations
@@ -43,22 +43,6 @@ def cosine(u, v) -> float:
         return 0.0
     value = float(np.dot(u, v) / (norm_u * norm_v))
     return max(-1.0, min(1.0, value))
-
-
-def score_sum(sources: Sequence, target) -> float:
-    """Sum of cosine similarities from each source vector to the target."""
-    sources = list(sources)
-    if not sources:
-        raise ValueError("source set must be nonempty")
-    return float(sum(cosine(s, target) for s in sources))
-
-
-def score_avg(sources: Sequence, target) -> float:
-    """Mean cosine similarity from the source vectors to the target."""
-    sources = list(sources)
-    if not sources:
-        raise ValueError("source set must be nonempty")
-    return score_sum(sources, target) / len(sources)
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ MANDELBROT_SHIFT = 2.7
 
 
 class VectorFormatError(ValueError):
-    """A vector file does not follow the '<count> <dim>' header + row text format."""
+    """A word vector or concept matrix file is malformed."""
 
 
 def normalize_word(word: str) -> str:
@@ -114,7 +114,6 @@ def _read_rows(
     dim: int,
     admit: Callable[[str, int], str | None],
     cap: int | None = None,
-    where: str = "",
 ) -> tuple[list[str], np.ndarray]:
     """Read the rows after the header: (kept keys, float64 matrix of their rows).
 
@@ -140,7 +139,7 @@ def _read_rows(
         word, _, rest = line.rstrip(" ").partition(" ")
         if not word:
             try:
-                _parse_row(line, lineno, dim, where)  # raises the empty-word error
+                _parse_row(line, lineno, dim)  # raises the empty-word error
             except VectorFormatError as error:
                 failure = error
             break
@@ -156,7 +155,7 @@ def _read_rows(
             keys.append(key)
             kept_rows.append(len(rests) - 1)
 
-    matrix = _parse_block(raw_words, rests, linenos, dim, where)
+    matrix = _parse_block(raw_words, rests, linenos, dim)
     if failure is not None:
         raise failure
     if len(kept_rows) != len(rests):
@@ -164,7 +163,7 @@ def _read_rows(
     return keys, matrix
 
 
-def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim: int, where: str) -> np.ndarray:
+def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim: int) -> np.ndarray:
     """Parse the component text of every row with one numpy call.
 
     Files numpy cannot read as a finite (rows, dim) block (a bad line, or
@@ -184,37 +183,37 @@ def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim
             if matrix.shape == (len(rests), dim) and np.isfinite(matrix).all():
                 return matrix
     return np.vstack(
-        [_parse_row(f"{word} {rest}", lineno, dim, where)[1] for word, rest, lineno in zip(raw_words, rests, linenos)]
+        [_parse_row(f"{word} {rest}", lineno, dim)[1] for word, rest, lineno in zip(raw_words, rests, linenos)]
     )
 
 
-def _parse_header(header: str | None, where: str = "") -> tuple[int, int]:
-    """Read a '<count> <dim>' header line; `where` prefixes every error message."""
+def _parse_header(header: str | None) -> tuple[int, int]:
+    """Read a '<count> <dim>' header line."""
     if header is None:
-        raise VectorFormatError(f"{where}empty vector stream: missing '<count> <dim>' header")
+        raise VectorFormatError("empty vector stream: missing '<count> <dim>' header")
     try:
         count, dim = map(int, header.split())  # a wrong field count is a ValueError too
     except ValueError:
-        raise VectorFormatError(f"{where}line 1: malformed header {header!r}, expected '<count> <dim>'") from None
+        raise VectorFormatError(f"line 1: malformed header {header!r}, expected '<count> <dim>'") from None
     if count < 0 or dim < 1:
-        raise VectorFormatError(f"{where}line 1: invalid header values count={count} dim={dim}")
+        raise VectorFormatError(f"line 1: invalid header values count={count} dim={dim}")
     return count, dim
 
 
-def _parse_row(line: str, lineno: int, dim: int, where: str = "") -> tuple[str, np.ndarray]:
-    """Split one vector row; raises VectorFormatError naming the line, prefixed by `where`."""
+def _parse_row(line: str, lineno: int, dim: int) -> tuple[str, np.ndarray]:
+    """Split one vector row; raises VectorFormatError naming the line."""
     fields = line.rstrip(" ").split(" ")
     word = fields[0]
     if not word:
-        raise VectorFormatError(f"{where}line {lineno}: empty word field")
+        raise VectorFormatError(f"line {lineno}: empty word field")
     if len(fields) - 1 != dim:
-        raise VectorFormatError(f"{where}line {lineno}: expected {dim} components, found {len(fields) - 1}")
+        raise VectorFormatError(f"line {lineno}: expected {dim} components, found {len(fields) - 1}")
     try:
         vector = np.array([float(x) for x in fields[1:]], dtype=np.float64)
     except ValueError:
-        raise VectorFormatError(f"{where}line {lineno}: non-numeric vector component") from None
+        raise VectorFormatError(f"line {lineno}: non-numeric vector component") from None
     if not np.isfinite(vector).all():
-        raise VectorFormatError(f"{where}line {lineno}: non-finite vector component")
+        raise VectorFormatError(f"line {lineno}: non-finite vector component")
     return word, vector
 
 

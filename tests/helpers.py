@@ -5,12 +5,15 @@ from __future__ import annotations
 import io
 import random
 from collections import deque
+from typing import Sequence
 
 import numpy as np
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, ParallelCorpus
-from genrevec.genregraph import RELATIONS, GenreGraph, GenreNode
+from genrevec.genregraph import RELATIONS, GenreGraph, GenreNode, hop_counts
+from genrevec.retrofit import RetrofitConfig, _check_alignment, _max_displacement, _strength, _weights
+from genrevec.translate import cosine
 from genrevec.wordvec import WordVectorStore, load_vectors
 
 
@@ -80,6 +83,56 @@ def bfs_components(graph: GenreGraph) -> list[frozenset[str]]:
             seen |= members
             components.append(members)
     return sorted(components, key=min)
+
+
+def shortest_path_similarity(graph: GenreGraph, a: str, b: str) -> float:
+    """Oracle: relatedness 1/(1+L) of one pair from the shortest undirected path length L.
+
+    Identical nodes score 1; unreachable pairs score 0 (L is infinite).
+    """
+    return float(1.0 / (1.0 + hop_counts(graph, [a], [b])[0, 0]))
+
+
+def score_sum(sources: Sequence, target) -> float:
+    """Oracle: sum of cosine similarities from each source vector to the target."""
+    sources = list(sources)
+    if not sources:
+        raise ValueError("source set must be nonempty")
+    return float(sum(cosine(s, target) for s in sources))
+
+
+def score_avg(sources: Sequence, target) -> float:
+    """Oracle: mean cosine similarity from the source vectors to the target."""
+    sources = list(sources)
+    if not sources:
+        raise ValueError("source set must be nonempty")
+    return score_sum(sources, target) / len(sources)
+
+
+class ZeroDenominatorError(ValueError):
+    """A node has neither an anchor weight nor a neighbor, so its update is undefined."""
+
+
+def update_step(
+    q: ConceptEmbeddingMatrix,
+    q_hat: ConceptEmbeddingMatrix,
+    graph: GenreGraph,
+    cfg: RetrofitConfig,
+) -> tuple[ConceptEmbeddingMatrix, float]:
+    """Oracle: one simultaneous retrofit sweep, all new vectors from the old Q.
+
+    Returns the updated matrix and the largest per-node displacement.
+    Raises :class:`ZeroDenominatorError` for a node with no anchor weight
+    and no neighbors.
+    """
+    _check_alignment(q, q_hat, graph)
+    alpha, w = _weights(q_hat, graph, cfg)
+    denominator = alpha + _strength(w)
+    dead = np.flatnonzero(denominator == 0.0)
+    if dead.size:
+        raise ZeroDenominatorError(f"node {q_hat.concepts[dead[0]]!r} has no anchor weight and no neighbors")
+    updated = (w @ q.vectors + alpha[:, None] * q_hat.vectors) / denominator[:, None]
+    return q.copy_with(vectors=updated), _max_displacement(updated, q.vectors)
 
 
 def random_instance(seed: int, max_nodes: int = 50, max_dim: int = 8, unknown_fraction: float = 0.2):

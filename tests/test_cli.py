@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline on the demo dataset."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from genrevec import cli
 from genrevec.cli import PipelineConfig, main
+from genrevec.compose import load_matrix, save_matrix
 from genrevec.evaluation import EvalReport
 from genrevec.fixtures import write_demo_dataset
 
@@ -30,8 +32,7 @@ def out_dir(root: Path) -> Path:
 class TestPipeline:
     def test_artifacts_exist(self, demo):
         root, _ = demo
-        for name in ("graph.json", "embeddings.vec", "embeddings.vec.meta.json",
-                     "retrofitted.vec", "retrofitted.vec.meta.json", "convergence.json"):
+        for name in ("graph.json", "embeddings.npz", "retrofitted.npz", "convergence.json"):
             assert (out_dir(root) / name).exists(), name
 
     def test_convergence_log_contents(self, demo):
@@ -86,7 +87,7 @@ class TestPipeline:
 
     def test_commands_are_idempotent(self, demo):
         root, config = demo
-        artifacts = ["graph.json", "embeddings.vec", "retrofitted.vec", "convergence.json"]
+        artifacts = ["graph.json", "embeddings.npz", "retrofitted.npz", "convergence.json"]
         before = {name: (out_dir(root) / name).read_bytes() for name in artifacts}
         for command in (["build-graph"], ["embed"], ["retrofit"]):
             assert main(command + ["--config", config]) == 0
@@ -110,6 +111,58 @@ class TestPipeline:
         with pytest.raises(TypeError):
             main(["retrofit", "--config", config])
         assert {entry.name: entry.read_bytes() for entry in out_dir(root).iterdir()} == before
+
+
+class TestGraphPairing:
+    @pytest.fixture()
+    def embedded(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "data")
+        config = str(paths["config"])
+        assert main(["build-graph", "--config", config]) == 0
+        assert main(["embed", "--config", config]) == 0
+        return paths, config, Path(PipelineConfig.from_file(config).workdir)
+
+    def test_matrices_record_the_graph_digest(self, embedded):
+        _, config, workdir = embedded
+        assert main(["retrofit", "--config", config]) == 0
+        digest = hashlib.sha256((workdir / "graph.json").read_bytes()).hexdigest()
+        _, embedded_metadata = load_matrix(workdir / "embeddings.npz")
+        _, retrofitted_metadata = load_matrix(workdir / "retrofitted.npz")
+        assert embedded_metadata["graph_sha256"] == digest
+        assert retrofitted_metadata == {**embedded_metadata, "scheme": "typed"}
+
+    def test_edited_edge_makes_later_stages_reject_the_matrix(self, embedded, capsys):
+        paths, config, workdir = embedded
+        lines = paths["edges"].read_text(encoding="utf-8").splitlines()
+        edge = json.loads(lines[-1])
+        edge["rel"] = "musicSubgenre" if edge["rel"] == "derivative" else "derivative"
+        paths["edges"].write_text("\n".join(lines[:-1] + [json.dumps(edge)]) + "\n", encoding="utf-8")
+        assert main(["build-graph", "--config", config]) == 0
+        capsys.readouterr()
+        for command in (["retrofit"], ["evaluate"], ["translate", "en:Rock", "--target-system", "fr"]):
+            assert main(command + ["--config", config]) == 2, command
+            err = capsys.readouterr().err
+            assert str(workdir / "embeddings.npz") in err and str(workdir / "graph.json") in err, command
+        assert main(["embed", "--config", config]) == 0
+        assert main(["retrofit", "--config", config]) == 0
+
+    def test_matrix_without_graph_digest_rejected(self, embedded, capsys):
+        _, config, workdir = embedded
+        matrix, metadata = load_matrix(workdir / "embeddings.npz")
+        del metadata["graph_sha256"]
+        save_matrix(matrix, workdir / "embeddings.npz", metadata=metadata)
+        capsys.readouterr()
+        assert main(["retrofit", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert str(workdir / "embeddings.npz") in err and str(workdir / "graph.json") in err
+
+    def test_text_matrix_from_an_older_run_rejected(self, embedded, capsys):
+        _, config, workdir = embedded
+        (workdir / "embeddings.npz").write_text("1 2\nen:Rock 1 0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["retrofit", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert str(workdir / "embeddings.npz") in err and "rerun `genrevec embed`" in err
 
 
 class TestNonConvergence:

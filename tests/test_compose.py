@@ -1,12 +1,15 @@
-"""Tests for concept embedding composition (plain and frequency-weighted)."""
+"""Tests for concept embedding composition (plain and frequency-weighted) and the matrix file."""
 
-import urllib.parse
+import contextlib
+import json
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrevec import compose
 from genrevec._lines import atomic_write
 from genrevec.compose import (
     ConceptEmbeddingMatrix,
@@ -214,6 +217,22 @@ class TestComposeSif:
             compose_sif({"a": ["rock"], "b": ["pop"]}, fixture_store(), a=-1.0)
 
 
+def archive_arrays(n: int = 3, dim: int = 2) -> dict:
+    """The four arrays of a valid matrix archive, as save_matrix writes them."""
+    return {
+        "concepts": np.array([f"c{i}" for i in range(n)]),
+        "vectors": np.arange(n * dim, dtype=np.float64).reshape(n, dim),
+        "known": np.ones(n, dtype=bool),
+        "metadata": np.array(json.dumps({"composition": "avg"})),
+    }
+
+
+def write_archive(path, **changes) -> None:
+    """Write a matrix archive with some arrays replaced, or left out where the change is None."""
+    arrays = {**archive_arrays(), **changes}
+    np.savez(path, **{name: array for name, array in arrays.items() if array is not None})
+
+
 class TestMatrixSerialization:
     def test_roundtrip_preserves_ids_vectors_flags(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -222,7 +241,7 @@ class TestMatrixSerialization:
             vectors=rng.normal(size=(4, 5)),
             known=np.array([True, False, True, True]),
         )
-        path = tmp_path / "matrix.vec"
+        path = tmp_path / "matrix.npz"
         save_matrix(matrix, path, metadata={"composition": "avg"})
         loaded, metadata = load_matrix(path)
         assert loaded.concepts == matrix.concepts
@@ -230,107 +249,169 @@ class TestMatrixSerialization:
         np.testing.assert_array_equal(loaded.known, matrix.known)
         assert metadata == {"composition": "avg"}
 
-    @staticmethod
-    def write_rows_per_value(matrix, path):
-        """The matrix text writer formatting one component at a time, as an oracle."""
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(f"{len(matrix)} {matrix.dim}\n")
-            for i, cid in enumerate(matrix.concepts):
-                encoded = urllib.parse.quote(cid, safe="")
-                components = " ".join(format(x, ".10g") for x in matrix.vectors[i])
-                handle.write(f"{encoded} {components}\n")
-
-    def test_rows_match_per_value_formatting(self, tmp_path):
+    def test_roundtrip_is_bit_exact(self, tmp_path):
         special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
                    1e16, 1e15, 123456789012.5, 0.1, 1 / 3]
-        ids = ["plain", "with space", "sys:Hip hop", "percent%id", "café/ü", "tab\tnew\nline", "%41"]
+        ids = ["plain", "with space", "tab\there", "new\nline", "%41", "A", "café/ü", "日本語", "", "trailing "]
+        metadata = {"composition": "sif", "nested": {"list": [1, 2.5, None, "ü"], "empty": {}}, "sif_a": 1e-3}
         rng = np.random.default_rng(17)
         for trial in range(12):
-            n = int(rng.integers(1, len(ids) + 1))
+            n = int(rng.integers(0, len(ids) + 1))
             dim = int(rng.integers(1, 9))
-            vectors = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-12, 12, size=(n, dim))
+            vectors = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
             mask = rng.random((n, dim)) < 0.4
             vectors[mask] = rng.choice(special, size=int(mask.sum()))
-            matrix = ConceptEmbeddingMatrix(concepts=ids[:n], vectors=vectors, known=np.ones(n, dtype=bool))
-            save_matrix(matrix, tmp_path / "fast.vec")
-            self.write_rows_per_value(matrix, tmp_path / "oracle.vec")
-            assert (tmp_path / "fast.vec").read_bytes() == (tmp_path / "oracle.vec").read_bytes(), trial
+            matrix = ConceptEmbeddingMatrix(concepts=ids[:n], vectors=vectors, known=rng.random(n) < 0.5)
+            path = tmp_path / f"matrix{trial}.npz"
+            save_matrix(matrix, path, metadata=metadata)
+            loaded, loaded_metadata = load_matrix(path)
+            assert loaded.concepts == matrix.concepts, trial
+            assert loaded.vectors.dtype == np.float64 and loaded.vectors.shape == (n, dim)
+            assert loaded.vectors.tobytes() == matrix.vectors.tobytes(), trial
+            np.testing.assert_array_equal(loaded.known, matrix.known)
+            assert loaded_metadata == metadata
 
-    def test_text_roundtrip_relative_error_within_bound(self, tmp_path):
-        # %.10g keeps 10 significant digits: each component reads back within 5e-10 relative
-        rng = np.random.default_rng(23)
-        vectors = rng.normal(size=(64, 300)) * 10.0 ** rng.uniform(-300, 300, size=(64, 300))
-        matrix = ConceptEmbeddingMatrix(concepts=[f"c{i}" for i in range(64)], vectors=vectors, known=np.ones(64, bool))
-        save_matrix(matrix, tmp_path / "matrix.vec")
-        loaded, _ = load_matrix(tmp_path / "matrix.vec")
-        relative = np.abs(loaded.vectors - vectors) / np.abs(vectors)
-        assert relative.max() <= 5e-10
-        assert relative.max() > 1e-11  # the text form is lossy, so the bound is not vacuous
+    def test_archive_layout_and_fixed_member_times(self, tmp_path):
+        matrix = ConceptEmbeddingMatrix(["b", "a"], np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([True, False]))
+        path = tmp_path / "matrix.vec"  # the name is used as given and does not decide the format
+        save_matrix(matrix, path, metadata={"z": 1, "a": 2})
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["matrix.vec"]
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+            assert [member.filename for member in members] == [
+                "concepts.npy", "vectors.npy", "known.npy", "metadata.npy"
+            ]
+            # a fixed timestamp on every member: rerunning a stage rewrites the same bytes
+            assert {member.date_time for member in members} == {(1980, 1, 1, 0, 0, 0)}
+            assert {member.compress_type for member in members} == {zipfile.ZIP_STORED}
+        with np.load(path, allow_pickle=False) as arrays:
+            assert arrays["concepts"].dtype.kind == "U" and arrays["concepts"].shape == (2,)
+            assert arrays["vectors"].dtype == np.float64 and arrays["known"].dtype == bool
+            assert arrays["metadata"].shape == () and arrays["metadata"].item() == '{"a": 2, "z": 1}'
+        first = path.read_bytes()
+        save_matrix(matrix, path, metadata={"a": 2, "z": 1})
+        assert path.read_bytes() == first
 
-    def test_interrupted_save_keeps_previous_files(self, tmp_path):
-        class FailingIds(list):
-            """Concept ids whose iteration fails after two rows, as a full disk would."""
+    def test_interrupted_save_keeps_previous_files(self, tmp_path, monkeypatch):
+        class FullDisk:
+            """A file handle that fails once 200 bytes are written, as a full disk would."""
 
-            def __iter__(self):
-                yield from list.__iter__(self[:2])
-                raise OSError("no space left on device")
+            def __init__(self, handle):
+                self.handle, self.written = handle, 0
+
+            def write(self, data):
+                self.written += len(data)
+                if self.written > 200:
+                    raise OSError("no space left on device")
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        real_atomic_write = compose.atomic_write
+
+        @contextlib.contextmanager
+        def failing_atomic_write(path, binary=False):
+            with real_atomic_write(path, binary=binary) as handle:
+                yield FullDisk(handle)
 
         rng = np.random.default_rng(5)
-        path = tmp_path / "matrix.vec"
+        path = tmp_path / "matrix.npz"
         save_matrix(ConceptEmbeddingMatrix(["a", "b", "c"], rng.normal(size=(3, 4)), np.ones(3, bool)), path)
         before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}
+        monkeypatch.setattr(compose, "atomic_write", failing_atomic_write)
         replacement = ConceptEmbeddingMatrix(["x", "y", "z"], rng.normal(size=(3, 4)), np.ones(3, bool))
-        replacement.concepts = FailingIds(replacement.concepts)
         with pytest.raises(OSError, match="no space"):
             save_matrix(replacement, path)
         assert {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()} == before
 
-    def test_missing_sidecar_falls_back_to_nonzero_rows(self, tmp_path, caplog):
-        matrix = ConceptEmbeddingMatrix(
-            concepts=["a", "b"], vectors=np.array([[1.0, 0.0], [0.0, 0.0]]), known=np.array([True, False])
-        )
-        path = tmp_path / "matrix.vec"
-        save_matrix(matrix, path)
-        (tmp_path / "matrix.vec.meta.json").unlink()
-        with caplog.at_level("WARNING"):
-            loaded, _ = load_matrix(path)
-        np.testing.assert_array_equal(loaded.known, [True, False])
+    def test_id_with_trailing_nul_rejected(self, tmp_path):
+        # a numpy unicode array drops trailing NULs: np.array(["a\0"]).tolist() == ["a"]
+        matrix = ConceptEmbeddingMatrix(["a", "b\0"], np.zeros((2, 1)), np.ones(2, bool))
+        with pytest.raises(ValueError, match=r"'b\\x00'"):
+            save_matrix(matrix, tmp_path / "matrix.npz")
+        assert list(tmp_path.iterdir()) == []
+        inner = ConceptEmbeddingMatrix(["a\0b"], np.zeros((1, 1)), np.ones(1, bool))
+        save_matrix(inner, tmp_path / "inner.npz")
+        assert load_matrix(tmp_path / "inner.npz")[0].concepts == ["a\0b"]
 
-    def test_header_row_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "broken.vec"
-        path.write_text("3 2\na 1 0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="declares 3"):
+    def test_text_matrix_rejected_with_rerun_hint(self, tmp_path):
+        path = tmp_path / "embeddings.vec"
+        path.write_text("2 2\na 1 0\nb 0 1\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="not a concept matrix .npz archive.*rerun `genrevec embed`") as raised:
+            load_matrix(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("name", ["concepts", "vectors", "known", "metadata"])
+    def test_missing_array_rejected(self, tmp_path, name):
+        path = tmp_path / "matrix.npz"
+        write_archive(path, **{name: None})
+        with pytest.raises(VectorFormatError, match=f"^{path}: missing array '{name}'$"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.zeros((3, 2), dtype=np.float32), np.zeros(3), np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=">f8")],
+        ids=["float32", "1-d", "3-d", "big-endian"],
+    )
+    def test_vectors_must_be_2d_float64(self, tmp_path, vectors):
+        path = tmp_path / "matrix.npz"
+        write_archive(path, vectors=vectors)
+        with pytest.raises(VectorFormatError, match=f"^{path}: vectors must be a 2-D float64 array"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "concepts",
+        [np.array([b"c0", b"c1", b"c2"]), np.array(["c0", "c1"]), np.array([["c0", "c1", "c2"]]), np.arange(3)],
+        ids=["bytes", "short", "2-d", "integers"],
+    )
+    def test_concepts_must_be_1d_unicode_of_row_count(self, tmp_path, concepts):
+        path = tmp_path / "matrix.npz"
+        write_archive(path, concepts=concepts)
+        with pytest.raises(VectorFormatError, match=f"^{path}: concepts must be a 1-D unicode array of 3 ids"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "known", [np.ones(3, dtype=np.int64), np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)],
+        ids=["integers", "short", "2-d"],
+    )
+    def test_known_must_be_bool_per_row(self, tmp_path, known):
+        path = tmp_path / "matrix.npz"
+        write_archive(path, known=known)
+        with pytest.raises(VectorFormatError, match=rf"^{path}: known must be a bool array of shape \(3,\)"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [np.array("[1, 2]"), np.array("{not json"), np.array(["{}"]), np.array(b"{}"), np.array(1.0)],
+        ids=["json-list", "invalid-json", "1-d", "bytes", "number"],
+    )
+    def test_metadata_must_be_a_json_object(self, tmp_path, metadata):
+        path = tmp_path / "matrix.npz"
+        write_archive(path, metadata=metadata)
+        with pytest.raises(VectorFormatError, match=f"^{path}: metadata"):
             load_matrix(path)
 
     def test_non_finite_component_rejected(self, tmp_path):
-        path = tmp_path / "broken.vec"
-        path.write_text("2 2\na 1 0\nb nan 1\n", encoding="utf-8")
-        with pytest.raises(VectorFormatError, match="line 3.*non-finite") as raised:
+        for value in (np.nan, np.inf, -np.inf):
+            vectors = archive_arrays()["vectors"]
+            vectors[1, 1] = value
+            path = tmp_path / "broken.npz"
+            write_archive(path, vectors=vectors)
+            with pytest.raises(VectorFormatError, match="non-finite vector component for concept 'c1'") as raised:
+                load_matrix(path)
+            assert str(raised.value).startswith(f"{path}: ")
+
+    def test_duplicate_concept_id_names_file_and_id(self, tmp_path):
+        path = tmp_path / "dup.npz"
+        write_archive(path, concepts=np.array(["rock", "jazz", "jazz"]))
+        with pytest.raises(VectorFormatError, match=f"^{path}: duplicate concept id 'jazz'$"):
             load_matrix(path)
-        assert str(raised.value).startswith(f"{path}: ")
 
-    def test_invalid_header_values_rejected(self, tmp_path):
-        for header in ("-1 2", "1 0"):
-            path = tmp_path / "broken.vec"
-            path.write_text(f"{header}\na 1 0\n", encoding="utf-8")
-            with pytest.raises(VectorFormatError, match="line 1: invalid header"):
-                load_matrix(path)
-
-
-    @pytest.mark.parametrize("second", ["jazz", "%6Aazz"], ids=["same-spelling", "percent-encoded"])
-    def test_duplicate_concept_id_names_file_and_line(self, tmp_path, caplog, second):
-        path = tmp_path / "dup.vec"
-        path.write_text(f"3 1\nrock 1\njazz 2\n{second} 3\n", encoding="utf-8")
-        with caplog.at_level("WARNING"):
-            with pytest.raises(VectorFormatError, match="line 4: duplicate concept id 'jazz'") as raised:
-                load_matrix(path)
-        assert str(raised.value).startswith(f"{path}: ")
-        assert "sidecar" not in caplog.text
-
-    def test_percent_encoded_spellings_of_one_id_collide(self, tmp_path):
-        path = tmp_path / "dup.vec"
-        path.write_text("2 1\n%41 1\nA 2\n", encoding="utf-8")
-        with pytest.raises(VectorFormatError, match="line 3: duplicate concept id 'A'"):
+    def test_unreadable_member_rejected(self, tmp_path):
+        path = tmp_path / "matrix.npz"
+        write_archive(path, concepts=np.array(["c0", "c1", "c2"], dtype=object))  # needs pickle to read
+        with pytest.raises(VectorFormatError, match=f"^{path}: unreadable array"):
             load_matrix(path)
 
 
@@ -345,3 +426,24 @@ class TestAtomicWrite:
             handle.write("x")
         assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["plain", "report.json"]
+
+    def test_binary_block_replaces_file_with_text_permissions(self, tmp_path):
+        with atomic_write(tmp_path / "text.txt") as handle:
+            handle.write("x")
+        path = tmp_path / "matrix.npz"
+        path.write_bytes(b"previous")
+        with atomic_write(path, binary=True) as handle:
+            handle.write(b"\x00new\n")
+        assert path.read_bytes() == b"\x00new\n"
+        assert path.stat().st_mode == (tmp_path / "text.txt").stat().st_mode
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["matrix.npz", "text.txt"]
+
+    def test_interrupted_binary_block_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "matrix.npz"
+        path.write_bytes(b"previous")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path, binary=True) as handle:
+                handle.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert [entry.name for entry in tmp_path.iterdir()] == ["matrix.npz"]
+        assert path.read_bytes() == b"previous"

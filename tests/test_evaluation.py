@@ -487,7 +487,7 @@ class TestBatchScoringOracle:
         corpus = load_corpus(paths["corpus"], min_tag_count=1)
         folds = stratified_split(corpus, k=4, seed=7)
         graph = load_saved_graph(tmp_path / "out" / "graph.json")
-        embeddings, _ = load_matrix(tmp_path / "out" / "retrofitted.vec")
+        embeddings, _ = load_matrix(tmp_path / "out" / "retrofitted.npz")
         for scorer in ("sum", "avg", "baseline"):
             report = evaluate(corpus, folds, "fr", ["en"], scorer=scorer, embeddings=embeddings, graph=graph)
             expected = oracle_evaluate(corpus, folds, "fr", ["en"], scorer, embeddings, graph)

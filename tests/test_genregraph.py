@@ -22,13 +22,12 @@ from genrevec.genregraph import (
     load_saved_graph,
     normalize_tag,
     save_graph,
-    shortest_path_similarity,
     tag_node_id,
     write_edges_jsonl,
     write_nodes_jsonl,
 )
 
-from helpers import bare_graph, bfs_components, bfs_hops
+from helpers import bare_graph, bfs_components, bfs_hops, shortest_path_similarity
 
 
 class TestNormalizeTag:

@@ -8,16 +8,14 @@ from genrevec.genregraph import EQUIVALENCE_RELATIONS
 from genrevec.retrofit import (
     RetrofitConfig,
     SingularSystemError,
-    ZeroDenominatorError,
     objective,
     objective_gradient,
     retrofit,
     solve_direct,
-    update_step,
     _weights,
 )
 
-from helpers import bare_graph, random_instance
+from helpers import ZeroDenominatorError, bare_graph, random_instance, update_step
 
 
 def pair_instance():

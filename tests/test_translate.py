@@ -7,9 +7,9 @@ import pytest
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.retrofit import RetrofitConfig, retrofit
-from genrevec.translate import cosine, score_avg, score_sets, score_sum, translate
+from genrevec.translate import cosine, score_sets, translate
 
-from helpers import bare_graph
+from helpers import bare_graph, score_avg, score_sum, shortest_path_similarity
 
 
 class TestCosine:
@@ -196,8 +196,6 @@ class TestBaselineScorer:
         assert result.scores["b"] == pytest.approx(0.5)  # (1/2 + 1/2) / 2
 
     def test_matches_pairwise_similarity(self):
-        from genrevec.genregraph import shortest_path_similarity
-
         graph = self.chain()
         result = translate(["a", "b"], ["c"], scorer="baseline", graph=graph)
         expected = (

@@ -1,9 +1,6 @@
 """Tests for word vector loading, lookup, and frequency estimation."""
 
 import io
-import os
-import tempfile
-import urllib.parse
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from hypothesis import strategies as st
 
 from genrevec import wordvec
 from genrevec._lines import iter_lines
-from genrevec.compose import ConceptEmbeddingMatrix, load_matrix
 from genrevec.wordvec import (
     MANDELBROT_SHIFT,
     VectorFormatError,
@@ -159,34 +155,9 @@ def reference_load_vectors(text: str, limit: int | None = None) -> tuple[list[st
     return words, np.vstack(rows) if rows else np.zeros((0, dim))
 
 
-def reference_load_matrix(path: str) -> tuple[list[str], np.ndarray]:
-    """Row-at-a-time matrix reader: one _parse_row call per line, in file order."""
-    lines = iter_lines(path)
-    count, dim = _parse_header(next(lines, None), where=f"{path}: ")
-    concepts, rows = [], []
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
-        encoded, vector = _parse_row(line, lineno, dim, where=f"{path}: ")
-        cid = urllib.parse.unquote(encoded)
-        if cid in concepts:
-            raise VectorFormatError(f"{path}: line {lineno}: duplicate concept id {cid!r}")
-        concepts.append(cid)
-        rows.append(vector)
-    if len(concepts) != count:
-        raise VectorFormatError(f"{path}: header declares {count} rows, found {len(concepts)}")
-    matrix = ConceptEmbeddingMatrix(concepts, np.vstack(rows) if rows else np.zeros((0, dim)), np.ones(count, bool))
-    return matrix.concepts, matrix.vectors
-
-
 def block_load_vectors(text: str, limit: int | None = None) -> tuple[list[str], np.ndarray]:
     store = load_vectors(io.StringIO(text), limit=limit)
     return store.words, store.matrix
-
-
-def block_load_matrix(path: str) -> tuple[list[str], np.ndarray]:
-    matrix, _ = load_matrix(path)
-    return matrix.concepts, matrix.vectors
 
 
 def outcome(load, *args):
@@ -234,21 +205,12 @@ def vector_files(draw):
 
 
 class TestBlockReaderParity:
-    """The block reader gives the row-at-a-time loaders' matrices bit for bit, or their errors."""
+    """The block reader gives the row-at-a-time loader's matrices bit for bit, or its errors."""
 
     @given(vector_files(), st.one_of(st.none(), st.integers(1, 6)))
     @settings(max_examples=400, deadline=None)
     def test_load_vectors_matches_per_row_reference(self, text, limit):
         assert outcome(block_load_vectors, text, limit) == outcome(reference_load_vectors, text, limit)
-
-    @given(vector_files())
-    @settings(max_examples=200, deadline=None)
-    def test_load_matrix_matches_per_row_reference(self, text):
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "m.vec")
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            assert outcome(block_load_matrix, path) == outcome(reference_load_matrix, path)
 
     @pytest.mark.parametrize(
         "line5",
