@@ -226,9 +226,12 @@ def _load_translation_inputs(config: PipelineConfig, scorer: str, matrix_path: s
     graph = load_saved_graph(graph_path)
     embeddings = None
     if scorer != "baseline":
-        path = Path(matrix_path) if matrix_path else _retrofitted_path(config)
-        if not path.exists():
-            path = _embeddings_path(config)
+        if matrix_path:
+            path = Path(matrix_path)
+        else:
+            path = _retrofitted_path(config)
+            if not path.exists():
+                path = _embeddings_path(config)
         embeddings, _ = _load_paired_matrix(path, graph_path)
     return graph, embeddings
 

@@ -2,27 +2,28 @@
 
 Two strategies: plain averaging of the constituent word vectors, and
 smooth-inverse-frequency weighting followed by removal of the shared
-dominant direction of the composed matrix. Matrices are saved and loaded
-as exact binary ``.npz`` archives.
+dominant direction of the composed matrix. Both sum the token vectors with
+one sparse product per language store, a concepts x vocabulary matrix of
+token weights times the store's vectors; the dominant direction is the top
+eigenvector of the Gram matrix. Matrices are saved and loaded as exact
+binary ``.npz`` archives.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import zipfile
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ._lines import atomic_write
 from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency
 
 DEFAULT_SIF_A = 1e-3
-POWER_ITERATION_TOLERANCE = 1e-10
-POWER_ITERATION_CAP = 1000
 
 
 @dataclass
@@ -81,18 +82,49 @@ class ConceptEmbeddingMatrix:
         )
 
 
-def _resolve_tokens(tokens_per_concept, store, languages) -> list[tuple[int, list[tuple[np.ndarray, int]]]]:
-    """Per concept, in order: its token count and its tokens' (vector, rank) hits in token order."""
+def _weighted_token_sums(
+    tokens_per_concept: Mapping[str, Sequence[str]],
+    store: WordVectorStore | VectorSpace,
+    languages: Mapping[str, str] | None,
+    a: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per concept, in order: the sum of its in-vocabulary token vectors and the number of them.
+
+    Each token vector is weighted 1 (`a` is None) or ``sif_weight(rank, a)``.
+    Each language store contributes one product of a concepts x vocabulary
+    CSR weight matrix with its vectors. The CSR matrix is built from its
+    arrays, so a repeated token keeps both entries, and the product sums
+    each row from zero in token order, exactly as a loop over the tokens
+    would. Concepts whose language has no store keep the zero sum.
+    """
     by_language = isinstance(store, VectorSpace)
     if by_language and languages is None:
         raise ValueError("a languages mapping (concept id -> language) is required with a VectorSpace")
-    resolved = []
-    for cid, tokens in tokens_per_concept.items():
+    stores = store.stores if by_language else {None: store}
+    rows_by_language: dict[str | None, list[int]] = {}
+    for i, (cid, tokens) in enumerate(tokens_per_concept.items()):
         if not tokens:
             raise ValueError(f"concept {cid!r} has an empty token list")
-        found = (store.lookup(token, languages[cid]) if by_language else store.lookup(token) for token in tokens)
-        resolved.append((len(tokens), [hit for hit in found if hit is not None]))
-    return resolved
+        rows_by_language.setdefault(languages[cid] if by_language else None, []).append(i)
+
+    token_lists = list(tokens_per_concept.values())
+    sums = np.zeros((len(token_lists), store.dim))
+    hits = np.zeros(len(token_lists), dtype=np.int64)
+    for language, rows in rows_by_language.items():
+        vocabulary = stores.get(language)
+        if vocabulary is None:
+            continue
+        ranks: list[int] = []
+        indptr = [0]
+        for i in rows:
+            ranks.extend(hit[1] for hit in map(vocabulary.lookup, token_lists[i]) if hit is not None)
+            indptr.append(len(ranks))
+        rank_array = np.array(ranks, dtype=np.int64)
+        weights = np.ones(len(rank_array)) if a is None else sif_weight(rank_array, a)
+        matrix = sparse.csr_matrix((weights, rank_array - 1, indptr), shape=(len(rows), len(vocabulary)))
+        sums[rows] = matrix @ vocabulary.matrix
+        hits[rows] = np.diff(indptr)
+    return sums, hits
 
 
 def compose_avg(
@@ -106,20 +138,13 @@ def compose_avg(
     toward the denominator. A concept is unknown (and gets the zero vector)
     iff all its tokens are out of vocabulary.
     """
-    resolved = _resolve_tokens(tokens_per_concept, store, languages)
-    vectors = np.zeros((len(resolved), store.dim))
-    known = np.zeros(len(resolved), dtype=bool)
-    for i, (count, hits) in enumerate(resolved):
-        acc = np.zeros(store.dim)
-        for vector, _ in hits:
-            acc += vector
-        vectors[i] = acc / count
-        known[i] = bool(hits)
-    return ConceptEmbeddingMatrix(concepts=list(tokens_per_concept), vectors=vectors, known=known)
+    sums, hits = _weighted_token_sums(tokens_per_concept, store, languages)
+    counts = np.array([len(tokens) for tokens in tokens_per_concept.values()], dtype=np.int64)
+    return ConceptEmbeddingMatrix(concepts=list(tokens_per_concept), vectors=sums / counts[:, None], known=hits > 0)
 
 
-def sif_weight(rank: int, a: float = DEFAULT_SIF_A) -> float:
-    """Smooth-inverse-frequency weight of a word at the given vocabulary rank."""
+def sif_weight(rank: int | np.ndarray, a: float = DEFAULT_SIF_A) -> float | np.ndarray:
+    """Smooth-inverse-frequency weight of a word at the given vocabulary rank (elementwise for an array)."""
     if a <= 0:
         raise ValueError(f"smoothing constant a must be positive, got {a}")
     return a / (a + estimate_frequency(rank))
@@ -140,55 +165,26 @@ def sif_weighted_means(
     """
     if a <= 0:
         raise ValueError(f"smoothing constant a must be positive, got {a}")
-    resolved = _resolve_tokens(tokens_per_concept, store, languages)
-    means = np.zeros((len(resolved), store.dim))
-    known = np.zeros(len(resolved), dtype=bool)
-    for i, (_, hits) in enumerate(resolved):
-        if hits:
-            acc = np.zeros(store.dim)
-            for vector, rank in hits:
-                acc += sif_weight(rank, a) * vector
-            means[i] = acc / len(hits)
-            known[i] = True
-    return means, known
+    sums, hits = _weighted_token_sums(tokens_per_concept, store, languages, a=a)
+    return sums / np.maximum(hits, 1)[:, None], hits > 0
 
 
 def principal_direction(rows: np.ndarray) -> np.ndarray:
-    """Leading right-singular direction of `rows` via power iteration.
+    """Leading right-singular direction of `rows`: the top eigenvector of its Gram matrix.
 
-    Iterates on the Gram matrix with a fixed start direction so the result
-    is deterministic; the sign is fixed so the largest-magnitude component
-    is positive. Returns the zero vector when `rows` is entirely zero.
+    The sign is fixed so the largest-magnitude component is positive, which
+    makes the result deterministic. Returns the zero vector when `rows` is
+    entirely zero.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    d = rows.shape[1]
     gram = rows.T @ rows
     if not np.any(gram):
-        return np.zeros(d)
-    # Canonical basis vectors back up the all-ones start in the (measure-zero)
-    # case where it is exactly orthogonal to the dominant direction.
-    starts = [np.full(d, 1.0 / math.sqrt(d))] + [np.eye(d)[i] for i in range(d)]
-    for v in starts:
-        converged = False
-        for _ in range(POWER_ITERATION_CAP):
-            w = gram @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                break
-            w /= norm
-            if np.linalg.norm(w - v) <= POWER_ITERATION_TOLERANCE:
-                v = w
-                converged = True
-                break
-            v = w
-        if converged or np.linalg.norm(gram @ v) > 0.0:
-            break
-    largest = int(np.argmax(np.abs(v)))
-    if v[largest] < 0:
-        v = -v
-    return v
+        return np.zeros(rows.shape[1])
+    direction = np.linalg.eigh(gram)[1][:, -1]  # eigenvalues ascend
+    largest = int(np.argmax(np.abs(direction)))
+    return -direction if direction[largest] < 0 else direction
 
 
 def remove_common_direction(matrix: np.ndarray, direction: np.ndarray) -> np.ndarray:

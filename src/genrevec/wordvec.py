@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import os
 import unicodedata
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class WordVectorStore:
             return None
         return self.matrix[rank - 1], rank
 
-    def entries(self) -> Iterator[tuple[str, np.ndarray]]:
-        for position, word in enumerate(self.words):
-            yield word, self.matrix[position]
-
 
 def load_vectors(
     source: str | os.PathLike | IO | Iterable[str],
@@ -85,82 +81,50 @@ def load_vectors(
     count, dim = _parse_header(next(lines, None))
 
     cap = count if limit is None else min(count, limit)
-    seen_raw: set[str] = set()
-    seen_keys: set[str] = set()
-    collisions = 0
-
-    def admit(raw_word: str, lineno: int) -> str | None:
-        nonlocal collisions
-        if raw_word in seen_raw:
-            raise VectorFormatError(f"line {lineno}: duplicate word {raw_word!r}")
-        seen_raw.add(raw_word)
-        key = normalize_word(raw_word)
-        if key in seen_keys:
-            collisions += 1
-            return None
-        seen_keys.add(key)
-        return key
-
-    words, matrix = _read_rows(lines, dim, admit, cap=cap)
-    if len(words) < cap and len(words) + collisions < count:  # the input ended, not the cap
-        raise VectorFormatError(f"header declares {count} rows, found {len(words) + collisions}")
-    if collisions:
-        logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
-    return WordVectorStore(dim=dim, words=words, matrix=matrix)
-
-
-def _read_rows(
-    lines: Iterator[str],
-    dim: int,
-    admit: Callable[[str, int], str | None],
-    cap: int | None = None,
-) -> tuple[list[str], np.ndarray]:
-    """Read the rows after the header: (kept keys, float64 matrix of their rows).
-
-    Lines are numbered from 2 and blank lines are skipped. `admit(word,
-    lineno)` maps each raw word to the key to keep, returns None to drop the
-    row, or raises VectorFormatError to reject the file. Reading stops once
-    `cap` rows are kept. Every row read is parsed and validated, dropped rows
-    too, and the first bad line in file order is the one reported: an error
-    `admit` raises at line L comes after the component errors of lines up to
-    L, an empty word at line L after those of the lines before it.
-    """
+    # Every row read is parsed, dropped rows too, so the first bad line in file
+    # order is the one reported: a duplicate word at line L comes after the
+    # component errors of lines up to L, an empty word at line L after those of
+    # the lines before it.
     raw_words: list[str] = []
     rests: list[str] = []
     linenos: list[int] = []
     keys: list[str] = []
     kept_rows: list[int] = []
+    seen_raw: set[str] = set()
+    seen_keys: set[str] = set()
     failure: VectorFormatError | None = None
     for lineno, line in enumerate(lines, start=2):
-        if cap is not None and len(keys) >= cap:
+        if len(keys) >= cap:
             break
         if not line:
             continue
         word, _, rest = line.rstrip(" ").partition(" ")
         if not word:
-            try:
-                _parse_row(line, lineno, dim)  # raises the empty-word error
-            except VectorFormatError as error:
-                failure = error
+            failure = VectorFormatError(f"line {lineno}: empty word field")
             break
         raw_words.append(word)
         rests.append(rest)
         linenos.append(lineno)
-        try:
-            key = admit(word, lineno)
-        except VectorFormatError as error:
-            failure = error
+        if word in seen_raw:
+            failure = VectorFormatError(f"line {lineno}: duplicate word {word!r}")
             break
-        if key is not None:
+        seen_raw.add(word)
+        key = normalize_word(word)
+        if key not in seen_keys:
+            seen_keys.add(key)
             keys.append(key)
             kept_rows.append(len(rests) - 1)
 
     matrix = _parse_block(raw_words, rests, linenos, dim)
     if failure is not None:
         raise failure
-    if len(kept_rows) != len(rests):
+    if len(keys) < cap and len(rests) < count:  # the input ended, not the cap
+        raise VectorFormatError(f"header declares {count} rows, found {len(rests)}")
+    collisions = len(rests) - len(keys)
+    if collisions:
+        logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
         matrix = matrix[kept_rows]
-    return keys, matrix
+    return WordVectorStore(dim=dim, words=keys, matrix=matrix)
 
 
 def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim: int) -> np.ndarray:
@@ -217,14 +181,15 @@ def _parse_row(line: str, lineno: int, dim: int) -> tuple[str, np.ndarray]:
     return word, vector
 
 
-def estimate_frequency(rank: int) -> float:
+def estimate_frequency(rank: int | np.ndarray) -> float | np.ndarray:
     """Estimated corpus frequency of the word at 1-based vocabulary `rank`.
 
     Vocabularies sorted by decreasing corpus frequency let the frequency be
     approximated from the rank alone; the estimate is strictly positive and
-    strictly decreasing in rank.
+    strictly decreasing in rank. An array of ranks gives the estimates
+    elementwise.
     """
-    if rank < 1:
+    if np.any(np.asarray(rank) < 1):
         raise ValueError(f"rank must be >= 1, got {rank}")
     return 1.0 / (rank + MANDELBROT_SHIFT)
 
@@ -245,9 +210,6 @@ class VectorSpace:
             raise ValueError(f"stores disagree on dimensionality: {sorted(dims)}")
         self.stores = dict(stores)
         self.dim = dims.pop()
-
-    def languages(self) -> list[str]:
-        return sorted(self.stores)
 
     def lookup(self, word: str, language: str) -> tuple[np.ndarray, int] | None:
         store = self.stores.get(language)

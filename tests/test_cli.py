@@ -217,6 +217,15 @@ class TestErrors:
                      "--config", str(paths["config"])]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["translate", "en:Hard_rock", "--target-system", "fr"], ["evaluate"]])
+    def test_missing_explicit_matrix_rejected(self, demo, tmp_path, capsys, command):
+        # an explicit --matrix never falls back to another matrix file
+        _, config = demo
+        missing = tmp_path / "typo.npz"
+        assert main([*command, "--config", config, "--matrix", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
 
 class TestConfig:
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):

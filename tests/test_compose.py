@@ -118,12 +118,13 @@ class TestSifWeightedMeans:
 
 def token_loop_compose(tokens_per_concept, space, languages, a=None):
     """Reference: each concept's tokens walked one lookup at a time, as compose_avg
-    (a is None) or sif_weighted_means (a given) accumulate them."""
+    (a is None) or sif_weighted_means (a given) accumulate them. With no
+    `languages`, `space` is a plain store."""
     rows, known = [], []
     for cid, tokens in tokens_per_concept.items():
         acc, hits = np.zeros(space.dim), 0
         for token in tokens:
-            found = space.lookup(token, languages[cid])
+            found = space.lookup(token) if languages is None else space.lookup(token, languages[cid])
             if found is not None:
                 acc += found[0] if a is None else (a / (a + estimate_frequency(found[1]))) * found[0]
                 hits += 1
@@ -152,6 +153,33 @@ class TestTokenResolution:
         assert means.tobytes() == vectors.tobytes() and known_sif.tolist() == known.tolist()
         assert not known.all() and known.any()
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layout", ["plain store", "language without a store"])
+    def test_other_store_layouts_match_the_token_loop_bit_for_bit(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(30)]
+
+        def random_store():
+            return make_store([(w, rng.normal(size=5).tolist()) for w in rng.permutation(words)[:20]])
+
+        tokens = {f"c{i}": list(rng.choice(words + ["oov"], size=int(rng.integers(1, 5)))) for i in range(40)}
+        if layout == "plain store":
+            space, languages = random_store(), None
+        else:
+            space = VectorSpace({"en": random_store(), "fr": random_store()})
+            languages = {cid: ("en", "de", "fr")[i % 3] for i, cid in enumerate(tokens)}
+        matrix = compose_avg(tokens, space, languages=languages)
+        vectors, known = token_loop_compose(tokens, space, languages)
+        assert matrix.vectors.tobytes() == vectors.tobytes() and matrix.known.tolist() == known.tolist()
+        means, known_sif = sif_weighted_means(tokens, space, a=1e-3, languages=languages)
+        vectors, known = token_loop_compose(tokens, space, languages, a=1e-3)
+        assert means.tobytes() == vectors.tobytes() and known_sif.tolist() == known.tolist()
+        assert not known.all() and known.any()
+        if languages is not None:
+            storeless = np.array([languages[cid] == "de" for cid in tokens])
+            assert not matrix.known[storeless].any() and not known_sif[storeless].any()
+            assert not matrix.vectors[storeless].any() and not means[storeless].any()
+
 
 class TestPrincipalDirection:
     def test_matches_dense_svd_on_random_matrices(self):
@@ -173,7 +201,7 @@ class TestPrincipalDirection:
         np.testing.assert_array_equal(principal_direction(np.zeros((3, 4))), np.zeros(4))
 
     def test_survives_adversarial_start(self):
-        # the all-ones start is orthogonal to the dominant direction here
+        # the dominant direction is orthogonal to the all-ones vector here
         rows = np.array([[1.0, -1.0]])
         u = principal_direction(rows)
         assert abs(abs(float(np.dot(u, [2**-0.5, -(2**-0.5)]))) - 1.0) <= 1e-8
