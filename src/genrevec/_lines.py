@@ -1,10 +1,9 @@
-"""File I/O: line iteration over paths, byte streams, text streams, and
-string iterables, and artifact writes that replace a file atomically."""
+"""File I/O: line iteration over paths, text streams, and string iterables,
+and artifact writes that replace a file atomically."""
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import uuid
 from typing import IO, Iterable, Iterator
@@ -13,17 +12,14 @@ from typing import IO, Iterable, Iterator
 def iter_lines(source: str | os.PathLike | IO | Iterable[str]) -> Iterator[str]:
     """Yield lines from `source` with trailing newlines removed.
 
-    Strings and path-likes are treated as file paths and read as UTF-8.
-    Byte streams are wrapped in a UTF-8 decoder; text streams and plain
-    iterables of strings are consumed as-is.
+    Strings and path-likes are treated as file paths and read as UTF-8; text
+    streams and plain iterables of strings are consumed as-is.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             for line in handle:
                 yield line.rstrip("\r\n")
         return
-    if hasattr(source, "read") and isinstance(getattr(source, "read")(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
     for line in source:
         yield line.rstrip("\r\n")
 

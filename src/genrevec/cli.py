@@ -33,6 +33,17 @@ class ConfigError(ValueError):
     """The pipeline config file is malformed."""
 
 
+# The JSON values each field annotation admits (annotations are strings under
+# postponed evaluation); "X | None" also admits null, and a bool is not a number.
+_ADMITS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "dict[str, str]": lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+}
+
+
 @dataclass
 class TagSystemSpec:
     name: str
@@ -97,6 +108,12 @@ class PipelineConfig:
         return config
 
     def _validate(self) -> None:
+        for record in (self, *self.tag_systems):
+            for f in dataclasses.fields(record):
+                value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
+                if kind in _ADMITS and not (value is None and kind != f.type) and not _ADMITS[kind](value):
+                    key = f.name if record is self else f"tag_systems[].{f.name}"
+                    raise ConfigError(f"config key {key!r} must be of type {kind}, got {json.dumps(value)}")
         if not self.vectors:
             raise ConfigError("config needs at least one entry under 'vectors'")
         if self.composition not in COMPOSITIONS:
@@ -245,6 +262,8 @@ def cmd_translate(
     top: int = 0,
 ) -> None:
     """Print the ranked target-system tags for the given source tag ids."""
+    if top < 0:
+        raise ValueError(f"--top must be nonnegative, got {top}")
     scorer = scorer or config.scorer
     graph, embeddings = _load_translation_inputs(config, scorer, matrix_path)
     targets = graph.system_tags(target_system)
@@ -294,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--verbose", action="store_true", help="log progress to stderr")
-        p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("build-graph", help="ingest, filter, and attach tag systems")
     common(p)
@@ -319,6 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scorer", choices=SCORERS, help="override the scorer")
     p.add_argument("--matrix", help="embedding matrix file (default: retrofitted)")
+    p.add_argument("--seed", type=int, help="override the config seed of the fold split")
     return parser
 
 
@@ -331,8 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = PipelineConfig.from_file(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
         if args.command == "build-graph":
             cmd_build_graph(config)
         elif args.command == "embed":
@@ -353,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
                 top=args.top,
             )
         elif args.command == "evaluate":
+            if args.seed is not None:
+                config.seed = args.seed
             cmd_evaluate(config, scorer=args.scorer, matrix_path=args.matrix)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or exc.__class__.__name__

@@ -137,9 +137,6 @@ class FoldAssignment:
     def fold_of(self, item_id: str) -> int:
         return self.assignment[item_id]
 
-    def items_in(self, fold: int) -> list[str]:
-        return sorted(item_id for item_id, f in self.assignment.items() if f == fold)
-
 
 def stratified_split(corpus: ParallelCorpus, k: int = 4, seed: int = 0) -> FoldAssignment:
     """Iterative stratification of the multi-label corpus into k folds.

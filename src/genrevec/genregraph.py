@@ -461,20 +461,6 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
     return hops
 
 
-def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:
-    """Emit nodes in the ingestion format (id, lang, label)."""
-    for node in graph.nodes.values():
-        json.dump({"id": node.id, "lang": node.language, "label": node.raw_label}, target, ensure_ascii=False)
-        target.write("\n")
-
-
-def write_edges_jsonl(graph: GenreGraph, target: IO[str]) -> None:
-    """Emit edges in the ingestion format (src, dst, rel)."""
-    for edge in graph.edges:
-        json.dump({"src": edge.src, "dst": edge.dst, "rel": edge.relation}, target, ensure_ascii=False)
-        target.write("\n")
-
-
 def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:
     """Write the full-fidelity graph JSON (tokens, systems, vocabulary included)."""
     with atomic_write(path) as handle:

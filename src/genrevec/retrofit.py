@@ -34,18 +34,12 @@ class SingularSystemError(ValueError):
 @dataclass(frozen=True)
 class RetrofitConfig:
     scheme: str = "typed"
-    alpha_known: float = 1.0
-    alpha_unknown: float = 0.0
     max_iters: int = 100
     tolerance: float = 1e-5
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.alpha_known <= 0:
-            raise ValueError("alpha_known must be positive")
-        if self.alpha_unknown < 0:
-            raise ValueError("alpha_unknown must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
         if self.tolerance <= 0:
@@ -76,14 +70,14 @@ def _check_alignment(q: ConceptEmbeddingMatrix, q_hat: ConceptEmbeddingMatrix, g
 def _weights(
     q_hat: ConceptEmbeddingMatrix, graph: GenreGraph, cfg: RetrofitConfig
 ) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """Anchor weights alpha and the symmetric pair-weight matrix W.
+    """Anchor weights alpha (1 for a known concept, 0 for an unknown one) and the pair-weight matrix W.
 
     W[i, j] = W[j, i] = beta_ij + beta_ji for every related pair. Each
     relation between i and j adds 1 to both betas when it is an equivalence
     under the "typed" scheme, and 1/degree(i) to beta_ij otherwise.
     """
     n = len(q_hat.concepts)
-    alpha = np.where(q_hat.known, cfg.alpha_known, cfg.alpha_unknown).astype(np.float64)
+    alpha = q_hat.known.astype(np.float64)
     index = {cid: i for i, cid in enumerate(q_hat.concepts)}
     pairs = graph.undirected_relations()
     ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)

@@ -60,27 +60,21 @@ class WordVectorStore:
         return self.matrix[rank - 1], rank
 
 
-def load_vectors(
-    source: str | os.PathLike | IO | Iterable[str],
-    limit: int | None = None,
-) -> WordVectorStore:
+def load_vectors(source: str | os.PathLike | IO | Iterable[str]) -> WordVectorStore:
     """Parse the text vector format into a :class:`WordVectorStore`.
 
     The first line must be "<count> <dim>"; each following line is a word and
-    `dim` finite decimal components separated by single spaces. At most
-    min(count, limit) entries are kept, in file order. Words are stored
+    `dim` finite decimal components separated by single spaces. The header's
+    count bounds the rows read: reading stops after `count` rows, and input
+    that ends before them is rejected as truncated. Words are stored
     NFC-normalized and lowercased; rows whose words collide with an earlier
-    entry after that normalization are dropped with a warning, while a
-    byte-identical duplicate word is rejected as a malformed file. Input that
-    ends before `count` rows (dropped rows included) without `limit` stopping
-    the read is rejected as truncated.
+    entry after that normalization count as read but are dropped with a
+    warning, while a byte-identical duplicate word is rejected as a
+    malformed file.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be a positive integer, got {limit}")
     lines = iter_lines(source)
     count, dim = _parse_header(next(lines, None))
 
-    cap = count if limit is None else min(count, limit)
     # Every row read is parsed, dropped rows too, so the first bad line in file
     # order is the one reported: a duplicate word at line L comes after the
     # component errors of lines up to L, an empty word at line L after those of
@@ -88,13 +82,11 @@ def load_vectors(
     raw_words: list[str] = []
     rests: list[str] = []
     linenos: list[int] = []
-    keys: list[str] = []
-    kept_rows: list[int] = []
+    kept: dict[str, int] = {}  # normalized word -> index of its first row in `rests`
     seen_raw: set[str] = set()
-    seen_keys: set[str] = set()
     failure: VectorFormatError | None = None
     for lineno, line in enumerate(lines, start=2):
-        if len(keys) >= cap:
+        if len(rests) >= count:
             break
         if not line:
             continue
@@ -109,22 +101,18 @@ def load_vectors(
             failure = VectorFormatError(f"line {lineno}: duplicate word {word!r}")
             break
         seen_raw.add(word)
-        key = normalize_word(word)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            keys.append(key)
-            kept_rows.append(len(rests) - 1)
+        kept.setdefault(normalize_word(word), len(rests) - 1)
 
     matrix = _parse_block(raw_words, rests, linenos, dim)
     if failure is not None:
         raise failure
-    if len(keys) < cap and len(rests) < count:  # the input ended, not the cap
+    if len(rests) < count:
         raise VectorFormatError(f"header declares {count} rows, found {len(rests)}")
-    collisions = len(rests) - len(keys)
+    collisions = len(rests) - len(kept)
     if collisions:
         logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
-        matrix = matrix[kept_rows]
-    return WordVectorStore(dim=dim, words=keys, matrix=matrix)
+        matrix = matrix[list(kept.values())]
+    return WordVectorStore(dim=dim, words=list(kept), matrix=matrix)
 
 
 def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim: int) -> np.ndarray:

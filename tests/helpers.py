@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from collections import deque
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -47,6 +48,20 @@ def bare_graph(node_ids: list[str], edges: list[tuple[str, str, str]], language:
     for src, dst, relation in edges:
         graph.add_edge(src, dst, relation)
     return graph
+
+
+def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:
+    """Emit nodes in the ingestion format (id, lang, label)."""
+    for node in graph.nodes.values():
+        json.dump({"id": node.id, "lang": node.language, "label": node.raw_label}, target, ensure_ascii=False)
+        target.write("\n")
+
+
+def write_edges_jsonl(graph: GenreGraph, target: IO[str]) -> None:
+    """Emit edges in the ingestion format (src, dst, rel)."""
+    for edge in graph.edges:
+        json.dump({"src": edge.src, "dst": edge.dst, "rel": edge.relation}, target, ensure_ascii=False)
+        target.write("\n")
 
 
 def _undirected_neighbors(graph: GenreGraph) -> dict[str, set[str]]:

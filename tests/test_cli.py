@@ -60,6 +60,24 @@ class TestPipeline:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 3
 
+    def test_translate_negative_top_rejected(self, demo, capsys):
+        _, config = demo
+        assert main(["translate", "en:Rock", "--target-system", "fr", "--config", config, "--top", "-8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--top" in captured.err
+
+    def test_seed_is_an_evaluate_flag_only(self, demo, capsys):
+        root, config = demo
+        for command in (["build-graph"], ["embed"], ["retrofit"], ["translate", "en:Rock", "--target-system", "fr"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--config", config, "--seed", "3"])
+            assert exit_info.value.code == 2
+        assert main(["evaluate", "--config", config, "--seed", "3"]) == 0
+        reseeded = (out_dir(root) / "report.json").read_text()
+        assert main(["evaluate", "--config", config]) == 0
+        assert (out_dir(root) / "report.json").read_text() != reseeded  # the config's seed is 7
+
     def test_translate_baseline_scorer(self, demo, capsys):
         _, config = demo
         assert main(["translate", "en:Hard_rock", "--target-system", "fr",
@@ -209,6 +227,31 @@ class TestErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["embed", "--config", str(path)]) == 2
         assert "composition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("high_confidence", "dbp_en_rock"),  # a string, whose set() would be its characters
+            ("folds", "4"),
+            ("folds", 4.0),
+            ("min_tag_count", None),
+            ("seed", True),
+            ("sif_a", "0.001"),
+            ("vectors", ["vectors_en.vec", "vectors_fr.vec"]),
+            ("vectors", {"en": 1}),
+            ("source_systems", "en"),
+            ("tag_systems", [{"name": 5, "language": "en"}]),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, key, value):
+        paths = write_demo_dataset(tmp_path / "data")
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        config[key] = value
+        paths["config"].write_text(json.dumps(config), encoding="utf-8")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ") and key in err
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     def test_translate_without_graph_artifact(self, tmp_path, capsys):
         root = tmp_path / "fresh"

@@ -101,7 +101,7 @@ class TestStratifiedSplit:
         ]
         corpus = ParallelCorpus(items=items, systems=("a", "b"))
         folds = stratified_split(corpus, k=4, seed=3)
-        sizes = [len(folds.items_in(f)) for f in range(4)]
+        sizes = [list(folds.assignment.values()).count(f) for f in range(4)]
         assert sizes == [2, 2, 2, 2]
 
     def test_four_occurrence_tag_lands_once_per_fold(self):
@@ -162,7 +162,7 @@ class TestStratifiedSplit:
     def test_fold_sizes_balanced_when_labels_permit(self):
         corpus = paired_corpus(503, seed=8)
         folds = stratified_split(corpus, k=4, seed=8)
-        sizes = [len(folds.items_in(f)) for f in range(4)]
+        sizes = [list(folds.assignment.values()).count(f) for f in range(4)]
         assert max(sizes) - min(sizes) <= 1
 
     def test_k_larger_than_corpus_rejected(self):

@@ -23,11 +23,16 @@ from genrevec.genregraph import (
     normalize_tag,
     save_graph,
     tag_node_id,
+)
+
+from helpers import (
+    bare_graph,
+    bfs_components,
+    bfs_hops,
+    shortest_path_similarity,
     write_edges_jsonl,
     write_nodes_jsonl,
 )
-
-from helpers import bare_graph, bfs_components, bfs_hops, shortest_path_similarity
 
 
 class TestNormalizeTag:

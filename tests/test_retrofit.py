@@ -49,16 +49,12 @@ class TestConfig:
     def test_defaults(self):
         cfg = RetrofitConfig()
         assert cfg.scheme == "typed"
-        assert cfg.alpha_known == 1.0
-        assert cfg.alpha_unknown == 0.0
         assert cfg.max_iters == 100
         assert cfg.tolerance == 1e-5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetrofitConfig(scheme="fancy")
-        with pytest.raises(ValueError):
-            RetrofitConfig(alpha_known=0.0)
         with pytest.raises(ValueError):
             RetrofitConfig(tolerance=0.0)
 

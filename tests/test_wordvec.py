@@ -32,12 +32,6 @@ class TestLoadVectors:
         assert rank == 1
         np.testing.assert_array_equal(vector, [1.0, 0.0, 0.0])
 
-    def test_limit_truncates(self):
-        store = load_vectors(io.StringIO(BASIC), limit=1)
-        assert len(store) == 1
-        assert store.lookup("rock") is not None
-        assert store.lookup("pop") is None
-
     def test_wrong_component_count_names_line(self):
         stream = io.StringIO("3 3\nrock 1 0 0\npop 0 1 0\njazz 1 0\n")
         with pytest.raises(VectorFormatError, match="line 4"):
@@ -84,16 +78,10 @@ class TestLoadVectors:
         assert load_vectors(io.StringIO("2 2\nRock 1 0\nrock 2 2\n")).words == ["rock"]
         with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 2$"):
             load_vectors(io.StringIO("3 2\nRock 1 0\nrock 2 2\n"))
-
-    def test_limit_below_row_count_still_loads(self):
-        store = load_vectors(io.StringIO("3 2\nrock 1 0\npop 0 1\n"), limit=1)
-        assert store.words == ["rock"]
-        with pytest.raises(VectorFormatError, match="found 2"):
-            load_vectors(io.StringIO("3 2\nrock 1 0\npop 0 1\n"), limit=3)
-
-    def test_byte_stream(self):
-        store = load_vectors(io.BytesIO(BASIC.encode("utf-8")))
-        assert len(store) == 2
+        # reading stops after the header's count, so the row after it is never read
+        store = load_vectors(io.StringIO("3 2\nRock 1 0\nrock 0 1\npop 1 1\njazz 2 2\n"))
+        assert store.words == ["rock", "pop"]
+        np.testing.assert_array_equal(store.matrix, [[1.0, 0.0], [1.0, 1.0]])
 
     def test_lookup_is_case_and_nfc_insensitive(self):
         store = load_vectors(io.StringIO("1 2\nMétal 1 0\n"))
@@ -127,15 +115,14 @@ class TestLoadVectors:
             assert np.all(np.abs(vector - np.round(np.asarray(row), 6)) <= 1e-6)
 
 
-def reference_load_vectors(text: str, limit: int | None = None) -> tuple[list[str], np.ndarray]:
-    """Row-at-a-time loader: one _parse_row call per line, in file order."""
+def reference_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
+    """Row-at-a-time loader: one _parse_row call per line, in file order, up to the header's row count."""
     lines = iter_lines(io.StringIO(text))
     count, dim = _parse_header(next(lines, None))
-    cap = count if limit is None else min(count, limit)
     words, rows, seen_raw, seen_keys = [], [], set(), set()
     read = 0
     for lineno, line in enumerate(lines, start=2):
-        if len(words) >= cap:
+        if read >= count:
             break
         if not line:
             continue
@@ -150,13 +137,13 @@ def reference_load_vectors(text: str, limit: int | None = None) -> tuple[list[st
         seen_keys.add(key)
         words.append(key)
         rows.append(vector)
-    if len(words) < cap and read < count:
+    if read < count:
         raise VectorFormatError(f"header declares {count} rows, found {read}")
     return words, np.vstack(rows) if rows else np.zeros((0, dim))
 
 
-def block_load_vectors(text: str, limit: int | None = None) -> tuple[list[str], np.ndarray]:
-    store = load_vectors(io.StringIO(text), limit=limit)
+def block_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
+    store = load_vectors(io.StringIO(text))
     return store.words, store.matrix
 
 
@@ -207,10 +194,10 @@ def vector_files(draw):
 class TestBlockReaderParity:
     """The block reader gives the row-at-a-time loader's matrices bit for bit, or its errors."""
 
-    @given(vector_files(), st.one_of(st.none(), st.integers(1, 6)))
+    @given(vector_files())
     @settings(max_examples=400, deadline=None)
-    def test_load_vectors_matches_per_row_reference(self, text, limit):
-        assert outcome(block_load_vectors, text, limit) == outcome(reference_load_vectors, text, limit)
+    def test_load_vectors_matches_per_row_reference(self, text):
+        assert outcome(block_load_vectors, text) == outcome(reference_load_vectors, text)
 
     @pytest.mark.parametrize(
         "line5",
