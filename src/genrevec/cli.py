@@ -120,10 +120,12 @@ class PipelineConfig:
             raise ConfigError(f"composition must be one of {COMPOSITIONS}")
         if self.scorer not in SCORERS:
             raise ConfigError(f"scorer must be one of {SCORERS}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
+        try:
+            self.retrofit_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def retrofit_config(self) -> RetrofitConfig:
         return RetrofitConfig(scheme=self.scheme, tolerance=self.tolerance, max_iters=self.max_iters)

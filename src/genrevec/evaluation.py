@@ -294,6 +294,9 @@ def evaluate(
     vocabulary = corpus.system_vocabulary(target_system)
     if not vocabulary:
         raise ValueError(f"no tags observed for target system {target_system!r}")
+    for system in source_systems:
+        if not any(item.tags(system) for item in corpus.items):
+            raise ValueError(f"no tags observed for source system {system!r}")
     target_ids = [tag_node_id(target_system, tag) for tag in vocabulary]
 
     eligible = [

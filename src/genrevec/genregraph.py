@@ -226,14 +226,6 @@ class GenreGraph:
         """Node ids attached under the given tag system, in insertion order."""
         return [nid for nid, node in self._nodes.items() if node.system == system]
 
-    def undirected_relations(self) -> dict[tuple[str, str], frozenset[str]]:
-        """Relation sets per unordered node pair, direction discarded."""
-        pairs: dict[tuple[str, str], set[str]] = {}
-        for edge in self._edges:
-            key = (edge.src, edge.dst) if edge.src < edge.dst else (edge.dst, edge.src)
-            pairs.setdefault(key, set()).add(edge.relation)
-        return {key: frozenset(rels) for key, rels in pairs.items()}
-
     def connected_components(self) -> list[frozenset[str]]:
         """Undirected components, ordered by their smallest member id."""
         ids, _, matrix = self._structure()
@@ -462,9 +454,14 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
 
 
 def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:
-    """Write the full-fidelity graph JSON (tokens, systems, vocabulary included)."""
+    """Write the full-fidelity graph JSON (tokens, systems, vocabulary included).
+
+    The file is one line of sorted-key JSON: a single ``json.dumps`` runs
+    the C encoder, which an indent or a stream writer would bypass.
+    """
+    text = json.dumps(graph.to_dict(), ensure_ascii=False, sort_keys=True)
     with atomic_write(path) as handle:
-        json.dump(graph.to_dict(), handle, ensure_ascii=False, indent=2, sort_keys=True)
+        handle.write(text)
         handle.write("\n")
 
 

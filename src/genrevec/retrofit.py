@@ -14,17 +14,20 @@ solves densely as an oracle for the iterative path.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import EQUIVALENCE_RELATIONS, GenreGraph
+from .genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph
 
 logger = logging.getLogger(__name__)
 
 SCHEMES = ("uniform", "typed")
+_RELATION_CODE = {relation: code for code, relation in enumerate(sorted(RELATIONS))}
+_IS_EQUIVALENCE = np.array([relation in EQUIVALENCE_RELATIONS for relation in _RELATION_CODE], dtype=np.float64)
 
 
 class SingularSystemError(ValueError):
@@ -42,7 +45,7 @@ class RetrofitConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise ValueError("tolerance must be positive")
 
 
@@ -73,19 +76,27 @@ def _weights(
     """Anchor weights alpha (1 for a known concept, 0 for an unknown one) and the pair-weight matrix W.
 
     W[i, j] = W[j, i] = beta_ij + beta_ji for every related pair. Each
-    relation between i and j adds 1 to both betas when it is an equivalence
-    under the "typed" scheme, and 1/degree(i) to beta_ij otherwise.
+    distinct relation between i and j, in either direction, adds 1 to both
+    betas when it is an equivalence under the "typed" scheme, and
+    1/degree(i) to beta_ij otherwise, where degree counts distinct neighbors.
     """
     n = len(q_hat.concepts)
     alpha = q_hat.known.astype(np.float64)
     index = {cid: i for i, cid in enumerate(q_hat.concepts)}
-    pairs = graph.undirected_relations()
-    ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
-    typed = cfg.scheme == "typed"
-    equivalent = np.array(
-        [len(rels & EQUIVALENCE_RELATIONS) if typed else 0 for rels in pairs.values()], dtype=np.float64
-    )
-    other = np.array([len(rels) for rels in pairs.values()], dtype=np.float64) - equivalent
+    edges = graph.edges
+    src = np.array([index[e.src] for e in edges], dtype=np.int64)
+    dst = np.array([index[e.dst] for e in edges], dtype=np.int64)
+    relation = np.array([_RELATION_CODE[e.relation] for e in edges], dtype=np.int64)
+    # one key per distinct (unordered pair, relation), then one per distinct pair
+    kinds = len(_RELATION_CODE)
+    relation_keys = np.unique((np.minimum(src, dst) * n + np.maximum(src, dst)) * kinds + relation)
+    pair_keys, pair_of = np.unique(relation_keys // kinds, return_inverse=True)
+    ends = np.stack(np.divmod(pair_keys, n), axis=1).astype(np.intp)
+    if cfg.scheme == "typed":
+        equivalent = np.bincount(pair_of, weights=_IS_EQUIVALENCE[relation_keys % kinds])
+    else:
+        equivalent = np.zeros(len(pair_keys))
+    other = np.bincount(pair_of) - equivalent
     degree = np.bincount(ends.ravel(), minlength=n)
     betas = equivalent[:, None] + other[:, None] / degree[ends]  # columns: beta_ab, beta_ba
     weights = np.tile(betas.sum(axis=1), 2)
@@ -146,12 +157,6 @@ def objective_gradient(
     return 2.0 * alpha[:, None] * (q.vectors - q_hat.vectors) + 2.0 * _laplacian_times(w, q.vectors)
 
 
-def _max_displacement(new: np.ndarray, old: np.ndarray) -> float:
-    if new.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.linalg.norm(new - old, axis=1)))
-
-
 def retrofit(
     q_hat: ConceptEmbeddingMatrix,
     graph: GenreGraph,
@@ -184,16 +189,24 @@ def retrofit(
             )
 
     denominator[pinned_mask] = 1.0
+    scale = denominator[:, None]
     anchor_term = alpha[:, None] * q_hat.vectors
     current = q_hat.vectors.copy()
+    diff = np.empty_like(current)
     trace = logger.isEnabledFor(logging.DEBUG)
     deltas: list[float] = []
     delta = 0.0
     for iteration in range(1, cfg.max_iters + 1):
-        updated = (w @ current + anchor_term) / denominator[:, None]
+        # the product is the sweep's one new array; the update finishes in place on it
+        updated = w @ current
+        np.add(updated, anchor_term, out=updated)
+        np.divide(updated, scale, out=updated)
         if pinned:
             updated[pinned_mask] = current[pinned_mask]
-        delta = _max_displacement(updated, current)
+        # largest row norm of the displacement, as sqrt(max of squared row sums)
+        np.subtract(updated, current, out=diff)
+        np.multiply(diff, diff, out=diff)
+        delta = math.sqrt(np.add.reduce(diff, axis=1).max()) if len(diff) else 0.0
         deltas.append(delta)
         current = updated
         if trace:
@@ -201,6 +214,7 @@ def retrofit(
             logger.debug("iteration %d: delta=%.3e objective=%.6e", iteration, delta, value)
         if delta <= cfg.tolerance:
             break
+    del anchor_term, diff  # two n x d arrays fewer alive under the objective's temporaries
     converged = delta <= cfg.tolerance
     if not converged:
         logger.warning(

@@ -1,4 +1,4 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and reference oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ from collections import deque
 from typing import IO, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, ParallelCorpus
-from genrevec.genregraph import RELATIONS, GenreGraph, GenreNode, hop_counts
-from genrevec.retrofit import RetrofitConfig, _check_alignment, _max_displacement, _strength, _weights
+from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts
+from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
 from genrevec.translate import cosine
 from genrevec.wordvec import WordVectorStore, load_vectors
 
@@ -124,6 +125,80 @@ def score_avg(sources: Sequence, target) -> float:
     return score_sum(sources, target) / len(sources)
 
 
+def undirected_relations(graph: GenreGraph) -> dict[tuple[str, str], frozenset[str]]:
+    """Oracle: relation sets per unordered node pair (smaller id first), direction discarded."""
+    pairs: dict[tuple[str, str], set[str]] = {}
+    for edge in graph.edges:
+        key = (edge.src, edge.dst) if edge.src < edge.dst else (edge.dst, edge.src)
+        pairs.setdefault(key, set()).add(edge.relation)
+    return {key: frozenset(rels) for key, rels in pairs.items()}
+
+
+def max_displacement(new: np.ndarray, old: np.ndarray) -> float:
+    """Oracle: the largest row norm of new - old, 0 for a matrix with no rows."""
+    if new.shape[0] == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(new - old, axis=1)))
+
+
+def dict_weights(q_hat: ConceptEmbeddingMatrix, graph: GenreGraph, cfg: RetrofitConfig):
+    """Frozen copy of the former `retrofit._weights`: alpha and W from the `undirected_relations` dict."""
+    n = len(q_hat.concepts)
+    alpha = q_hat.known.astype(np.float64)
+    index = {cid: i for i, cid in enumerate(q_hat.concepts)}
+    pairs = undirected_relations(graph)
+    ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    typed = cfg.scheme == "typed"
+    equivalent = np.array(
+        [len(rels & EQUIVALENCE_RELATIONS) if typed else 0 for rels in pairs.values()], dtype=np.float64
+    )
+    other = np.array([len(rels) for rels in pairs.values()], dtype=np.float64) - equivalent
+    degree = np.bincount(ends.ravel(), minlength=n)
+    betas = equivalent[:, None] + other[:, None] / degree[ends]
+    weights = np.tile(betas.sum(axis=1), 2)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    return alpha, sparse.csr_matrix((weights, (rows, cols)), shape=(n, n))
+
+
+def allocating_retrofit(q_hat: ConceptEmbeddingMatrix, graph: GenreGraph, cfg: RetrofitConfig) -> RetrofitResult:
+    """Frozen copy of the former `retrofit` loop, which allocated every sweep's iterate and displacement.
+
+    W comes from :func:`dict_weights`; warnings and the debug trace are left out.
+    """
+    _check_alignment(q_hat, q_hat, graph)
+    alpha, w = dict_weights(q_hat, graph, cfg)
+    denominator = alpha + _strength(w)
+    pinned_mask = denominator == 0.0
+    pinned = tuple(q_hat.concepts[i] for i in np.flatnonzero(pinned_mask))
+    denominator[pinned_mask] = 1.0
+    anchor_term = alpha[:, None] * q_hat.vectors
+    current = q_hat.vectors.copy()
+    deltas: list[float] = []
+    delta = 0.0
+    for _ in range(cfg.max_iters):
+        updated = (w @ current + anchor_term) / denominator[:, None]
+        if pinned:
+            updated[pinned_mask] = current[pinned_mask]
+        delta = max_displacement(updated, current)
+        deltas.append(delta)
+        current = updated
+        if delta <= cfg.tolerance:
+            break
+    known = q_hat.known | np.any(current != 0.0, axis=1)
+    matrix = ConceptEmbeddingMatrix(concepts=list(q_hat.concepts), vectors=current, known=known)
+    return RetrofitResult(
+        matrix=matrix,
+        iterations=len(deltas),
+        final_delta=delta,
+        pinned=pinned,
+        deltas=tuple(deltas),
+        converged=delta <= cfg.tolerance,
+        objective_initial=_objective(q_hat.vectors, q_hat.vectors, alpha, w),
+        objective_final=_objective(matrix.vectors, q_hat.vectors, alpha, w),
+    )
+
+
 class ZeroDenominatorError(ValueError):
     """A node has neither an anchor weight nor a neighbor, so its update is undefined."""
 
@@ -147,7 +222,7 @@ def update_step(
     if dead.size:
         raise ZeroDenominatorError(f"node {q_hat.concepts[dead[0]]!r} has no anchor weight and no neighbors")
     updated = (w @ q.vectors + alpha[:, None] * q_hat.vectors) / denominator[:, None]
-    return q.copy_with(vectors=updated), _max_displacement(updated, q.vectors)
+    return q.copy_with(vectors=updated), max_displacement(updated, q.vectors)
 
 
 def random_instance(seed: int, max_nodes: int = 50, max_dim: int = 8, unknown_fraction: float = 0.2):

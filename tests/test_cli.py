@@ -253,6 +253,35 @@ class TestErrors:
         assert err.startswith("error: config key ") and key in err
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tolerance", 0, "tolerance must be positive"),
+            ("tolerance", -1e-5, "tolerance must be positive"),
+            ("tolerance", float("nan"), "tolerance must be positive"),
+            ("max_iters", 0, "max_iters must be a positive integer"),
+            ("scheme", "fancy", "scheme must be one of"),
+        ],
+    )
+    def test_unusable_retrofit_setting_rejected_before_build_graph(self, tmp_path, capsys, key, value, message):
+        paths = write_demo_dataset(tmp_path / "data")
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        config[key] = value
+        paths["config"].write_text(json.dumps(config), encoding="utf-8")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+
+    @pytest.mark.parametrize("sources", [["xx"], ["en", "xx"]])
+    def test_source_system_without_tags_rejected(self, demo, capsys, sources):
+        root, config = demo
+        payload = json.loads(Path(config).read_text(encoding="utf-8"))
+        payload["source_systems"] = sources
+        edited = root / "config_unknown_source.json"
+        edited.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["evaluate", "--config", str(edited)]) == 2
+        assert capsys.readouterr().err == "error: no tags observed for source system 'xx'\n"
+
     def test_translate_without_graph_artifact(self, tmp_path, capsys):
         root = tmp_path / "fresh"
         paths = write_demo_dataset(root)

@@ -1,6 +1,8 @@
 """Tests for graph normalization, ingestion, filtering, attachment, and paths."""
 
+import contextlib
 import io
+import json
 import random
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrevec import genregraph
 from genrevec.genregraph import (
     EQUIVALENCE_RELATIONS,
     RELATIONS,
@@ -30,6 +33,7 @@ from helpers import (
     bfs_components,
     bfs_hops,
     shortest_path_similarity,
+    undirected_relations,
     write_edges_jsonl,
     write_nodes_jsonl,
 )
@@ -210,15 +214,46 @@ class TestLoadGraph:
         assert load_saved_graph(path) == graph
 
 
-    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        graph = small_graph()
+    def test_saved_graph_is_one_line_of_sorted_key_json(self, tmp_path):
+        graph = attach_tag_system(small_graph(), "sys", ["Hardrock", "Crunk"], "en")
         path = tmp_path / "graph.json"
         save_graph(graph, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(graph.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
+        assert text.count("\n") == 1
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        class FullDisk:
+            """A file handle that writes 200 bytes and then fails, as a full disk would."""
+
+            def __init__(self, handle):
+                self.handle, self.room = handle, 200
+
+            def write(self, data):
+                if len(data) > self.room:
+                    self.handle.write(data[:self.room])
+                    raise OSError("no space left on device")
+                self.room -= len(data)
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        real_atomic_write = genregraph.atomic_write
+
+        @contextlib.contextmanager
+        def failing_atomic_write(path, binary=False):
+            with real_atomic_write(path, binary=binary) as handle:
+                yield FullDisk(handle)
+
+        path = tmp_path / "graph.json"
+        save_graph(small_graph(), path)
         before = path.read_bytes()
-        # json.dump writes the leading keys before it reaches the unserializable value
-        monkeypatch.setattr(GenreGraph, "to_dict", lambda self: {"nodes": [], "zzz": object()})
-        with pytest.raises(TypeError):
-            save_graph(graph, path)
+        monkeypatch.setattr(genregraph, "atomic_write", failing_atomic_write)
+        replacement = attach_tag_system(small_graph(), "sys", ["Hardrock", "Crunk"], "en")
+        assert len(json.dumps(replacement.to_dict())) > 400
+        with pytest.raises(OSError, match="no space"):
+            save_graph(replacement, path)
         assert path.read_bytes() == before
         assert [entry.name for entry in tmp_path.iterdir()] == ["graph.json"]
 
@@ -435,7 +470,7 @@ class TestRelationSets:
             ["A", "B"],
             [("A", "B", "sameAs"), ("B", "A", "sameAs"), ("A", "B", "derivative")],
         )
-        pairs = graph.undirected_relations()
+        pairs = undirected_relations(graph)
         assert pairs == {("A", "B"): frozenset({"sameAs", "derivative"})}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genrevec.compose import ConceptEmbeddingMatrix
-from genrevec.genregraph import EQUIVALENCE_RELATIONS
+from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph
 from genrevec.retrofit import (
     RetrofitConfig,
     SingularSystemError,
@@ -15,7 +15,15 @@ from genrevec.retrofit import (
     _weights,
 )
 
-from helpers import ZeroDenominatorError, bare_graph, random_instance, update_step
+from helpers import (
+    ZeroDenominatorError,
+    allocating_retrofit,
+    bare_graph,
+    dict_weights,
+    random_instance,
+    undirected_relations,
+    update_step,
+)
 
 
 def pair_instance():
@@ -29,10 +37,35 @@ def pair_instance():
     return graph, matrix
 
 
+def multi_relation_instance(seed):
+    """Random graph with parallel edges in both directions, an isolated node, and shuffled concepts.
+
+    The matrix lists the concepts in another order than the graph's nodes;
+    about a third of them are unknown.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 30))
+    ids = [f"n{i:02d}" for i in range(n)]
+    relations = sorted(RELATIONS)
+    edges = []
+    for _ in range(int(rng.integers(1, 3 * n))):
+        i, j = rng.choice(n - 1, size=2, replace=False)  # the last node stays isolated
+        for _ in range(int(rng.integers(1, 4))):  # parallel edges, either direction
+            src, dst = (i, j) if rng.random() < 0.5 else (j, i)
+            edges.append((ids[src], ids[dst], relations[int(rng.integers(len(relations)))]))
+    graph = bare_graph(ids, edges)
+    order = [ids[i] for i in rng.permutation(n)]
+    if order == ids:
+        order.reverse()
+    known = rng.random(n) >= 0.3
+    vectors = np.where(known[:, None], rng.normal(size=(n, int(rng.integers(1, 6)))), 0.0)
+    return graph, ConceptEmbeddingMatrix(order, vectors, known)
+
+
 def oracle_pair_weights(graph, scheme):
     """beta_ab + beta_ba per unordered pair, summed relation by relation in sorted order."""
     weights = {}
-    for (a, b), relations in sorted(graph.undirected_relations().items()):
+    for (a, b), relations in sorted(undirected_relations(graph).items()):
         beta_ab = beta_ba = 0.0
         for relation in sorted(relations):
             if scheme == "typed" and relation in EQUIVALENCE_RELATIONS:
@@ -295,6 +328,76 @@ class TestWeights:
                 assert w.nnz == np.count_nonzero(expected)
                 assert np.max(np.abs(w.toarray() - expected)) <= 1e-15
                 np.testing.assert_array_equal(alpha, np.where(matrix.known, 1.0, 0.0))
+
+
+    def test_bit_identical_to_dict_weights(self):
+        for seed in range(30):
+            graph, matrix = multi_relation_instance(seed)
+            assert matrix.concepts != graph.node_ids()
+            for scheme in ("uniform", "typed"):
+                cfg = RetrofitConfig(scheme=scheme)
+                alpha, w = _weights(matrix, graph, cfg)
+                expected_alpha, expected = dict_weights(matrix, graph, cfg)
+                np.testing.assert_array_equal(w.indptr, expected.indptr)
+                np.testing.assert_array_equal(w.indices, expected.indices)
+                assert w.data.tobytes() == expected.data.tobytes()
+                assert alpha.tobytes() == expected_alpha.tobytes()
+
+
+class TestSweepLoop:
+    """The in-place sweep loop against a frozen copy of the allocating one, bit for bit."""
+
+    def assert_same_result(self, matrix, graph, cfg):
+        result = retrofit(matrix, graph, cfg)
+        expected = allocating_retrofit(matrix, graph, cfg)
+        assert result.matrix.concepts == expected.matrix.concepts
+        assert result.matrix.vectors.tobytes() == expected.matrix.vectors.tobytes()
+        np.testing.assert_array_equal(result.matrix.known, expected.matrix.known)
+        assert result.deltas == expected.deltas
+        assert result.final_delta == expected.final_delta
+        assert result.iterations == expected.iterations
+        assert result.converged is expected.converged
+        assert result.pinned == expected.pinned
+        assert result.objective_initial == expected.objective_initial
+        assert result.objective_final == expected.objective_final
+        return result
+
+    def test_random_multi_relation_graphs(self):
+        # the last node is isolated, so it is pinned whenever it is unknown
+        pinned = 0
+        for seed in range(20):
+            graph, matrix = multi_relation_instance(seed)
+            for scheme in ("uniform", "typed"):
+                pinned += len(self.assert_same_result(matrix, graph, RetrofitConfig(scheme=scheme)).pinned)
+        assert pinned > 0
+
+    def test_suite_graphs(self):
+        for seed in range(10):
+            graph, matrix = random_instance(seed)
+            self.assert_same_result(matrix, graph, RetrofitConfig())
+
+    def test_pinned_nodes_and_unanchored_component(self):
+        graph = bare_graph(
+            ["K", "J", "U1", "U2", "P1", "P2"],
+            [("K", "J", "musicSubgenre"), ("U1", "U2", "derivative"), ("U2", "U1", "sameAs")],
+        )
+        known = np.array([True, True, False, False, False, False])
+        vectors = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, 0.0], [0.0, 0.7], [0.0, 0.0], [0.2, 0.1]])
+        matrix = ConceptEmbeddingMatrix(["K", "J", "U1", "U2", "P1", "P2"], vectors, known)
+        result = self.assert_same_result(matrix, graph, RetrofitConfig(tolerance=1e-12))
+        assert result.pinned == ("P1", "P2")
+
+    def test_empty_matrix(self):
+        matrix = ConceptEmbeddingMatrix([], np.zeros((0, 3)), np.zeros(0, dtype=bool))
+        result = self.assert_same_result(matrix, GenreGraph(), RetrofitConfig())
+        assert result.deltas == (0.0,)
+        assert result.converged is True
+
+    def test_exhausted_max_iters(self):
+        graph, matrix = random_instance(4, max_nodes=40)
+        result = self.assert_same_result(matrix, graph, RetrofitConfig(max_iters=3, tolerance=1e-300))
+        assert result.iterations == 3
+        assert result.converged is False
 
 
 class TestSolveDirect:
