@@ -4,22 +4,24 @@ Items annotated under several tag systems are split into stratified folds.
 All evaluated items are translated from the source systems into the target
 system in one batch (:func:`genrevec.translate.score_sets`), giving an
 items x target-tags score matrix; per fold, every tag column's AUC comes
-from tie-averaged ranks at once, is macro-averaged over the fold's tags,
-and the fold averages are summarized with mean and population standard
-deviation. :func:`auc_binary` is the same statistic for one score list.
+from tie-averaged rank sums read off that column sorted once, is
+macro-averaged over the fold's tags, and the fold averages are summarized
+with mean and population standard deviation. :func:`auc_binary` is the
+same statistic for one score list.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._lines import iter_lines
 from .compose import ConceptEmbeddingMatrix
@@ -142,55 +144,71 @@ def stratified_split(corpus: ParallelCorpus, k: int = 4, seed: int = 0) -> FoldA
     """Iterative stratification of the multi-label corpus into k folds.
 
     Repeatedly takes the label (system:tag pair) with the fewest unassigned
-    items and deals those items to the fold with the greatest remaining
-    demand for that label; ties go to the fold with the greatest remaining
-    capacity, then to a seeded random choice. Balances both per-label counts
-    and overall fold sizes.
+    items and deals those items, in corpus order, to the fold with the
+    greatest remaining demand for that label; ties go to the fold with the
+    greatest remaining capacity, then to a seeded random choice. Balances
+    both per-label counts and overall fold sizes. The next label comes off a
+    heap of (unassigned count, label) entries, pushed whenever a count drops
+    and skipped when stale, so the split scales with the number of
+    (item, label) pairs rather than with items times labels.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if k > len(corpus.items):
         raise ValueError(f"k={k} exceeds the number of items ({len(corpus.items)})")
     rng = random.Random(seed)
-    item_order = [item.id for item in corpus.items]
-    labels_of: dict[str, list[str]] = {}
-    for item in corpus.items:
-        labels_of[item.id] = sorted({
-            tag_node_id(system, tag)
-            for system, tags in item.annotations.items() for tag in tags
-        })
+    item_ids = [item.id for item in corpus.items]
+    if len(set(item_ids)) != len(item_ids):
+        repeated = next(item_id for item_id, count in Counter(item_ids).items() if count > 1)
+        raise ValueError(f"duplicate item id {repeated!r}")
+    item_labels = [
+        {tag_node_id(system, tag) for system, tags in item.annotations.items() for tag in tags}
+        for item in corpus.items
+    ]
+    # a label is its rank in sorted order, and a heap entry count * len(names) + label,
+    # so the smallest entry is the smallest (count, label) pair
+    names = sorted(set().union(*item_labels))
+    rank = {label: r for r, label in enumerate(names)}
+    labels_of = [[rank[label] for label in labels] for labels in item_labels]
+    width = len(names)
 
-    remaining: dict[str, set[str]] = {}
-    for item_id, labels in labels_of.items():
+    remaining: list[set[int]] = [set() for _ in names]  # label -> positions of its unassigned items
+    for position, labels in enumerate(labels_of):
         for label in labels:
-            remaining.setdefault(label, set()).add(item_id)
-    demand = {label: [len(ids) / k] * k for label, ids in remaining.items()}
+            remaining[label].add(position)
+    demand = [[len(positions) / k] * k for positions in remaining]
     capacity = [len(corpus.items) / k] * k
-    assignment: dict[str, int] = {}
+    heap = [len(positions) * width + label for label, positions in enumerate(remaining)]
+    heapq.heapify(heap)
+    assignment: list[int | None] = [None] * len(item_ids)
 
-    while remaining:
-        label = min(remaining, key=lambda l: (len(remaining[l]), l))
-        for item_id in [i for i in item_order if i in remaining[label]]:
-            wants = demand[label]
+    while heap:
+        count, label = divmod(heapq.heappop(heap), width)
+        if count != len(remaining[label]) or not count:
+            continue  # stale entry, or a label whose items are all dealt
+        wants = demand[label]
+        for position in sorted(remaining[label]):
             best = max(wants)
             candidates = [f for f in range(k) if wants[f] == best]
             if len(candidates) > 1:
                 roomiest = max(capacity[f] for f in candidates)
                 candidates = [f for f in candidates if capacity[f] == roomiest]
             fold = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
-            assignment[item_id] = fold
+            assignment[position] = fold
             capacity[fold] -= 1
-            for other in labels_of[item_id]:
+            for other in labels_of[position]:
                 demand[other][fold] -= 1
-                remaining[other].discard(item_id)
-        remaining = {label: ids for label, ids in remaining.items() if ids}
+                others = remaining[other]
+                others.discard(position)
+                if other != label and others:
+                    heapq.heappush(heap, len(others) * width + other)
 
-    for item_id in item_order:  # items with no labels cannot occur, but stay safe
-        if item_id not in assignment:
+    for position, fold in enumerate(assignment):  # items with no labels cannot occur, but stay safe
+        if fold is None:
             fold = max(range(k), key=lambda f: (capacity[f], -f))
-            assignment[item_id] = fold
+            assignment[position] = fold
             capacity[fold] -= 1
-    return FoldAssignment(k=k, assignment=assignment)
+    return FoldAssignment(k=k, assignment=dict(zip(item_ids, assignment)))
 
 
 def auc_binary(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -232,6 +250,46 @@ def auc_binary(scores: Sequence[float], labels: Sequence[int]) -> float:
         i = j + 1
     wins = rank_sum - positives * (positives + 1) / 2
     return wins / (positives * negatives)
+
+
+def _fold_of(folds: FoldAssignment, item_id: str) -> int:
+    try:
+        fold = folds.fold_of(item_id)
+    except KeyError:
+        raise ValueError(f"item {item_id!r} has no fold assignment") from None
+    if not 0 <= fold < folds.k:
+        raise ValueError(f"item {item_id!r} is assigned to fold {fold}, outside 0..{folds.k - 1}")
+    return fold
+
+
+def _fold_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per tag column, the AUC of one fold's (items x tags) scores against its labels.
+
+    Returns the AUCs and the mask of qualifying columns, those with both a
+    positive and a negative item; the rest read NaN. Mann-Whitney on
+    tie-averaged ranks: a score with `left` scores below it and `right`
+    at or below it in its sorted column ranks (left + right + 1) / 2, so a
+    column's rank sum is an integer sum halved, exact and equal to summing
+    scipy's `rankdata` ranks. A column holding NaN reads NaN, as under
+    rankdata's default NaN policy.
+    """
+    count = len(scores)
+    positives = labels.sum(axis=0)
+    qualifying = (positives > 0) & (positives < count)
+    aucs = np.full(scores.shape[1], np.nan)
+    if qualifying.any():
+        columns, column_labels = scores.T, labels.T
+        ordered = np.sort(columns, axis=1)
+        rank_sums = np.zeros(scores.shape[1])
+        for j in np.flatnonzero(qualifying):
+            values = columns[j][column_labels[j]]
+            left = int(np.searchsorted(ordered[j], values, side="left").sum())
+            right = int(np.searchsorted(ordered[j], values, side="right").sum())
+            rank_sums[j] = (left + right + len(values)) / 2
+        rank_sums[np.isnan(ordered[:, -1])] = np.nan  # NaN sorts last
+        wins = rank_sums - positives * (positives + 1) / 2
+        np.divide(wins, positives * (count - positives), out=aucs, where=qualifying)
+    return aucs, qualifying
 
 
 @dataclass
@@ -289,6 +347,8 @@ def evaluate(
     tag by tag in vocabulary order.
     """
     source_systems = list(source_systems)
+    if not source_systems:
+        raise ValueError("evaluate needs at least one source system")
     if target_system in source_systems:
         raise ValueError(f"target system {target_system!r} cannot also be a source")
     vocabulary = corpus.system_vocabulary(target_system)
@@ -328,28 +388,21 @@ def evaluate(
                 )
 
     column = {tag: j for j, tag in enumerate(vocabulary)}
+    targets_of = [item.tags(target_system) for item in eligible]
     labels = np.zeros(scores.shape, dtype=bool)
-    for i, item in enumerate(eligible):
-        labels[i, [column[tag] for tag in item.tags(target_system)]] = True
-    fold_of = np.array([folds.fold_of(item.id) for item in eligible], dtype=np.int64)
+    labels[
+        np.repeat(np.arange(len(eligible)), [len(tags) for tags in targets_of]),
+        [column[tag] for tags in targets_of for tag in tags],
+    ] = True
+    fold_of = np.array([_fold_of(folds, item.id) for item in eligible], dtype=np.int64)
 
     fold_aucs: list[float] = []
     items_per_fold: list[int] = []
     per_tag: dict[str, list[float | None]] = {tag: [] for tag in vocabulary}
     for fold in range(folds.k):
         member = fold_of == fold
-        count = int(np.count_nonzero(member))
-        items_per_fold.append(count)
-        fold_labels = labels[member]
-        positives = fold_labels.sum(axis=0)
-        qualifying = (positives > 0) & (positives < count)
-        aucs = np.full(len(vocabulary), np.nan)
-        if qualifying.any():
-            # Mann-Whitney: tie-averaged ranks are half-integers, so these sums are exact
-            ranks = rankdata(scores[member], axis=0)
-            rank_sums = np.where(fold_labels, ranks, 0.0).sum(axis=0)
-            wins = rank_sums - positives * (positives + 1) / 2
-            np.divide(wins, positives * (count - positives), out=aucs, where=qualifying)
+        items_per_fold.append(int(np.count_nonzero(member)))
+        aucs, qualifying = _fold_aucs(scores[member], labels[member])
         tag_aucs: list[float] = []
         for tag, value, usable in zip(vocabulary, aucs.tolist(), qualifying.tolist()):
             per_tag[tag].append(value if usable else None)

@@ -192,7 +192,6 @@ def retrofit(
     scale = denominator[:, None]
     anchor_term = alpha[:, None] * q_hat.vectors
     current = q_hat.vectors.copy()
-    diff = np.empty_like(current)
     trace = logger.isEnabledFor(logging.DEBUG)
     deltas: list[float] = []
     delta = 0.0
@@ -203,10 +202,11 @@ def retrofit(
         np.divide(updated, scale, out=updated)
         if pinned:
             updated[pinned_mask] = current[pinned_mask]
-        # largest row norm of the displacement, as sqrt(max of squared row sums)
-        np.subtract(updated, current, out=diff)
-        np.multiply(diff, diff, out=diff)
-        delta = math.sqrt(np.add.reduce(diff, axis=1).max()) if len(diff) else 0.0
+        # largest row norm of the displacement, as sqrt(max of squared row sums),
+        # computed in the outgoing iterate's buffer, which is freed when `current` moves on
+        np.subtract(updated, current, out=current)
+        np.multiply(current, current, out=current)
+        delta = math.sqrt(np.add.reduce(current, axis=1).max()) if len(current) else 0.0
         deltas.append(delta)
         current = updated
         if trace:
@@ -214,7 +214,7 @@ def retrofit(
             logger.debug("iteration %d: delta=%.3e objective=%.6e", iteration, delta, value)
         if delta <= cfg.tolerance:
             break
-    del anchor_term, diff  # two n x d arrays fewer alive under the objective's temporaries
+    del anchor_term  # one n x d array fewer alive under the objective's temporaries
     converged = delta <= cfg.tolerance
     if not converged:
         logger.warning(

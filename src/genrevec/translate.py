@@ -67,9 +67,10 @@ def score_sets(
     :func:`translate` scores it.
 
     "sum"/"avg": targets are checked and row-normalized once; each distinct
-    source is normalized once; each set's resolved sources are multiplied
-    against the targets and their cosine rows summed, and divided by the
-    set's size for "avg". A set with no resolved source scores 0 everywhere.
+    source is normalized once; each distinct tuple of resolved sources is
+    multiplied against the targets once and its cosine rows summed, and
+    divided by its size for "avg"; later sets with the same resolved tuple
+    copy that row. A set with no resolved source scores 0 everywhere.
     "baseline" computes one shortest-path row per distinct source and
     averages 1/(1 + hops) over the set, requiring every id to be a graph node.
     """
@@ -107,11 +108,18 @@ def score_sets(
     distinct = sorted({tag for resolved in resolved_rows for tag in resolved})
     position = {tag: i for i, tag in enumerate(distinct)}
     source_matrix = _normalize_rows(embeddings.vectors[[embeddings.index_of(s) for s in distinct]])
-    # One product per set rather than slices of one shared cosine block:
-    # BLAS rounds an entry differently depending on the shape of the
-    # product it belongs to, and this keeps every score equal to a one-set call.
+    # One product per distinct set rather than slices of one shared cosine
+    # block: BLAS rounds an entry differently depending on the shape of the
+    # product it belongs to, and this keeps every score equal to a one-set
+    # call. A set seen before copies the row of its first occurrence.
+    first_row: dict[tuple[str, ...], int] = {}
     for i, resolved in enumerate(resolved_rows):
-        if resolved:
+        if not resolved:
+            continue
+        first = first_row.setdefault(resolved, i)
+        if first != i:
+            scores[i] = scores[first]
+        else:
             values = (source_matrix[[position[s] for s in resolved]] @ target_matrix.T).sum(axis=0)
             scores[i] = values / len(resolved) if scorer == "avg" else values
     return scores, dropped

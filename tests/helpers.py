@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import random
 from collections import deque
@@ -10,10 +11,11 @@ from typing import IO, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.stats import rankdata
 
 from genrevec.compose import ConceptEmbeddingMatrix
-from genrevec.evaluation import CorpusItem, ParallelCorpus
-from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts
+from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
+from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts, tag_node_id
 from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
 from genrevec.translate import cosine
 from genrevec.wordvec import WordVectorStore, load_vectors
@@ -123,6 +125,24 @@ def score_avg(sources: Sequence, target) -> float:
     if not sources:
         raise ValueError("source set must be nonempty")
     return score_sum(sources, target) / len(sources)
+
+
+def rankdata_fold_aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Oracle: the former per-fold AUC of `evaluate`, tag columns at once from `scipy.stats.rankdata`.
+
+    NaN where a column has no positive or no negative item.
+    """
+    count = len(scores)
+    positives = labels.sum(axis=0)
+    qualifying = (positives > 0) & (positives < count)
+    aucs = np.full(scores.shape[1], np.nan)
+    if qualifying.any():
+        # Mann-Whitney: tie-averaged ranks are half-integers, so these sums are exact
+        ranks = rankdata(scores, axis=0)
+        rank_sums = np.where(labels, ranks, 0.0).sum(axis=0)
+        wins = rank_sums - positives * (positives + 1) / 2
+        np.divide(wins, positives * (count - positives), out=aucs, where=qualifying)
+    return aucs
 
 
 def undirected_relations(graph: GenreGraph) -> dict[tuple[str, str], frozenset[str]]:
@@ -306,3 +326,82 @@ def paired_corpus(n_items: int, seed: int = 0, n_pairs: int = 10) -> ParallelCor
             annotations={"src": (f"s{pair:02d}",), "tgt": (f"t{pair:02d}",)},
         ))
     return ParallelCorpus(items=items, systems=("src", "tgt"))
+
+
+def multisystem_corpus(n_items: int, seed: int = 0) -> ParallelCorpus:
+    """Corpus over four tag systems, each item tagged in 2-4 of them with 1-3 Zipf-like tags each.
+
+    Each system's vocabulary grows with the square root of the corpus, so
+    rare labels (and with them ties in fold demand and capacity) stay common
+    at every size.
+    """
+    rng = random.Random(seed)
+    systems = ("en", "fr", "de", "es")
+    size = max(4, int(1.7 * n_items ** 0.5))
+    vocabulary = {system: [f"{system}{i:04d}" for i in range(size)] for system in systems}
+    cum_weights = list(itertools.accumulate(1.0 / (i + 1) for i in range(size)))
+    items = []
+    for index in range(n_items):
+        annotations = {}
+        for system in rng.sample(systems, rng.randint(2, len(systems))):
+            picks = rng.choices(vocabulary[system], cum_weights=cum_weights, k=rng.randint(1, 3))
+            annotations[system] = tuple(dict.fromkeys(picks))
+        items.append(CorpusItem(id=f"item{index:05d}", annotations=annotations))
+    return ParallelCorpus(items=items, systems=systems)
+
+
+def scan_stratified_split(corpus: ParallelCorpus, k: int = 4, seed: int = 0) -> FoldAssignment:
+    """Frozen copy of the former `evaluation.stratified_split`, which scanned every label and item per step.
+
+    Iterative stratification of the multi-label corpus into k folds.
+
+    Repeatedly takes the label (system:tag pair) with the fewest unassigned
+    items and deals those items to the fold with the greatest remaining
+    demand for that label; ties go to the fold with the greatest remaining
+    capacity, then to a seeded random choice. Balances both per-label counts
+    and overall fold sizes.
+    """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    if k > len(corpus.items):
+        raise ValueError(f"k={k} exceeds the number of items ({len(corpus.items)})")
+    rng = random.Random(seed)
+    item_order = [item.id for item in corpus.items]
+    labels_of: dict[str, list[str]] = {}
+    for item in corpus.items:
+        labels_of[item.id] = sorted({
+            tag_node_id(system, tag)
+            for system, tags in item.annotations.items() for tag in tags
+        })
+
+    remaining: dict[str, set[str]] = {}
+    for item_id, labels in labels_of.items():
+        for label in labels:
+            remaining.setdefault(label, set()).add(item_id)
+    demand = {label: [len(ids) / k] * k for label, ids in remaining.items()}
+    capacity = [len(corpus.items) / k] * k
+    assignment: dict[str, int] = {}
+
+    while remaining:
+        label = min(remaining, key=lambda l: (len(remaining[l]), l))
+        for item_id in [i for i in item_order if i in remaining[label]]:
+            wants = demand[label]
+            best = max(wants)
+            candidates = [f for f in range(k) if wants[f] == best]
+            if len(candidates) > 1:
+                roomiest = max(capacity[f] for f in candidates)
+                candidates = [f for f in candidates if capacity[f] == roomiest]
+            fold = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+            assignment[item_id] = fold
+            capacity[fold] -= 1
+            for other in labels_of[item_id]:
+                demand[other][fold] -= 1
+                remaining[other].discard(item_id)
+        remaining = {label: ids for label, ids in remaining.items() if ids}
+
+    for item_id in item_order:  # items with no labels cannot occur, but stay safe
+        if item_id not in assignment:
+            fold = max(range(k), key=lambda f: (capacity[f], -f))
+            assignment[item_id] = fold
+            capacity[fold] -= 1
+    return FoldAssignment(k=k, assignment=assignment)

@@ -5,12 +5,14 @@ import json
 import logging
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrevec import evaluation
 from genrevec.cli import main
 from genrevec.compose import ConceptEmbeddingMatrix, load_matrix
 from genrevec.evaluation import (
@@ -18,6 +20,7 @@ from genrevec.evaluation import (
     CorpusItem,
     EvalReport,
     ParallelCorpus,
+    _fold_aucs,
     auc_binary,
     evaluate,
     load_corpus,
@@ -27,7 +30,15 @@ from genrevec.fixtures import write_demo_dataset
 from genrevec.genregraph import RELATIONS, load_saved_graph, tag_node_id
 from genrevec.translate import translate
 
-from helpers import bare_graph, bfs_hops, paired_corpus, synthetic_corpus
+from helpers import (
+    bare_graph,
+    bfs_hops,
+    multisystem_corpus,
+    paired_corpus,
+    rankdata_fold_aucs,
+    scan_stratified_split,
+    synthetic_corpus,
+)
 
 
 def corpus_lines(records):
@@ -175,6 +186,81 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError, match="at least 2"):
             stratified_split(corpus, k=1)
 
+    def test_duplicate_item_id_rejected(self):
+        items = [CorpusItem(f"i{n}", {"a": (f"x{n % 3}",), "b": ("y",)}) for n in range(8)]
+        items.append(CorpusItem("i0", {"a": ("z",), "b": ("y",)}))
+        with pytest.raises(ValueError, match="duplicate item id 'i0'"):
+            stratified_split(ParallelCorpus(items=items, systems=("a", "b")), k=2)
+
+
+class TestScanSplitOracle:
+    """The heap-driven split deals every item to the fold the former full scan chose."""
+
+    def test_demo_corpus(self, tmp_path):
+        corpus = load_corpus(write_demo_dataset(tmp_path)["corpus"], min_tag_count=1)
+        for k in range(2, 6):
+            for seed in range(4):
+                assert stratified_split(corpus, k, seed).assignment == scan_stratified_split(corpus, k, seed).assignment
+
+    @pytest.mark.parametrize(
+        ("n_items", "k", "seed"), [(10, 2, 0), (60, 3, 1), (250, 5, 2), (900, 2, 3), (2000, 3, 4), (6000, 4, 5)],
+    )
+    def test_random_multisystem_corpora(self, n_items, k, seed, monkeypatch):
+        corpus = multisystem_corpus(n_items, seed=seed)
+        expected = scan_stratified_split(corpus, k, seed).assignment
+        choices = []
+
+        class CountingRandom(random.Random):
+            def choice(self, seq):
+                choices.append(len(seq))
+                return super().choice(seq)
+
+        monkeypatch.setattr(evaluation, "random", SimpleNamespace(Random=CountingRandom))
+        assert stratified_split(corpus, k, seed).assignment == expected
+        assert choices  # some items tied on both demand and capacity, so the seeded choice decided
+
+
+class TestFoldAucOracle:
+    """The sort-based fold AUC equals the rankdata rank-sum formula bit for bit."""
+
+    @staticmethod
+    def assert_matches(scores, labels):
+        aucs, qualifying = _fold_aucs(scores, labels)
+        expected = rankdata_fold_aucs(scores, labels)
+        positives = labels.sum(axis=0)
+        assert qualifying.tolist() == ((positives > 0) & (positives < len(labels))).tolist()
+        assert np.isnan(aucs).tolist() == np.isnan(expected).tolist()
+        defined = ~np.isnan(expected)
+        assert aucs[defined].tobytes() == expected[defined].tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_quantized_scores_with_signed_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        n, tags = int(rng.integers(2, 60)), int(rng.integers(2, 12))
+        scores = np.round(rng.normal(size=(n, tags)) * 1.5) / 2
+        scores[rng.random((n, tags)) < 0.2] = -0.0
+        scores[rng.random((n, tags)) < 0.2] = 0.0
+        scores[0, 1], scores[-1, 1] = -0.0, 0.0  # both zeros in one column
+        scores[:, 0] = 0.25  # a constant column
+        labels = rng.random((n, tags)) < rng.random(tags)
+        self.assert_matches(scores, labels)
+
+    def test_all_tags_tied(self):
+        labels = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 0]], dtype=bool)
+        self.assert_matches(np.full(labels.shape, -0.0), labels)
+        aucs, _ = _fold_aucs(np.full(labels.shape, 0.5), labels)
+        assert aucs.tolist() == [0.5, 0.5, 0.5]
+
+    def test_continuous_scores(self):
+        rng = np.random.default_rng(7)
+        self.assert_matches(rng.normal(size=(300, 40)), rng.random((300, 40)) < 0.1)
+
+    def test_nan_column_reads_nan(self):
+        scores = np.array([[0.1, 0.5], [np.nan, 0.2], [0.3, 0.9]])
+        labels = np.array([[1, 1], [0, 0], [1, 0]], dtype=bool)
+        self.assert_matches(scores, labels)
+        assert np.isnan(_fold_aucs(scores, labels)[0][0])
+
 
 class TestAucBinary:
     def test_perfect_separation(self):
@@ -319,6 +405,26 @@ class TestEvaluate:
         evaluate(corpus, folds, "tgt", ["s1", "s2"], scorer=spy)
         # items annotated in only one of the two source systems still evaluate
         assert set(seen_items) == {"a", "b", "c", "d"}
+
+    def test_no_source_system_rejected(self):
+        corpus = synthetic_corpus(40, seed=1)
+        with pytest.raises(ValueError, match="evaluate needs at least one source system"):
+            evaluate(corpus, self.folds_for(corpus), "tgt", [], scorer=lambda item, tag: 0.5)
+
+    def test_item_without_fold_rejected(self):
+        corpus = synthetic_corpus(40, seed=1)
+        folds = self.folds_for(corpus)
+        del folds.assignment["item0003"]
+        with pytest.raises(ValueError, match="'item0003' has no fold"):
+            evaluate(corpus, folds, "tgt", ["src"], scorer=lambda item, tag: 0.5)
+
+    @pytest.mark.parametrize("fold", [4, -1])
+    def test_fold_index_out_of_range_rejected(self, fold):
+        corpus = synthetic_corpus(40, seed=1)
+        folds = self.folds_for(corpus)
+        folds.assignment["item0003"] = fold
+        with pytest.raises(ValueError, match=f"'item0003' is assigned to fold {fold}, outside 0..3"):
+            evaluate(corpus, folds, "tgt", ["src"], scorer=lambda item, tag: 0.5)
 
     def test_target_cannot_be_source(self):
         corpus = synthetic_corpus(20, seed=0)
