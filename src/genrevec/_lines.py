@@ -1,9 +1,10 @@
 """File I/O: line iteration over paths, text streams, and string iterables,
-and artifact writes that replace a file atomically."""
+JSON-lines records, and artifact writes that replace a file atomically."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import uuid
 from typing import IO, Iterable, Iterator
@@ -22,6 +23,20 @@ def iter_lines(source: str | os.PathLike | IO | Iterable[str]) -> Iterator[str]:
         return
     for line in source:
         yield line.rstrip("\r\n")
+
+
+def iter_json_objects(source, what: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) per nonblank line; `error` names `what` and the line of a bad one."""
+    for lineno, line in enumerate(iter_lines(source), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{what} line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise error(f"{what} line {lineno}: expected a JSON object")
+        yield lineno, record
 
 
 @contextlib.contextmanager

@@ -175,6 +175,11 @@ def cmd_build_graph(config: PipelineConfig) -> Path:
     graph = load_graph(config.graph_nodes, config.graph_edges, lemma)
     logger.info("loaded graph: %d nodes, %d edges", graph.node_count, graph.edge_count)
     if config.high_confidence is not None:
+        if not config.high_confidence:
+            raise ConfigError("'high_confidence' is empty; it would filter out the whole graph")
+        missing = next((nid for nid in config.high_confidence if not graph.has_node(nid)), None)
+        if missing is not None:
+            raise ConfigError(f"'high_confidence' id {missing!r} is not a node of the graph")
         graph = filter_graph(graph, config.high_confidence)
         logger.info("after confidence filter: %d nodes, %d edges", graph.node_count, graph.edge_count)
     corpus = load_corpus(config.corpus, min_tag_count=config.min_tag_count)

@@ -13,17 +13,16 @@ same statistic for one score list.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ._lines import iter_lines
+from ._lines import iter_json_objects
 from .compose import ConceptEmbeddingMatrix
 from .genregraph import GenreGraph, tag_node_id
 from .translate import score_sets
@@ -84,14 +83,8 @@ def load_corpus(
     items: list[CorpusItem] = []
     seen_ids: set[str] = set()
     thin = 0
-    for lineno, line in enumerate(iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"corpus line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict) or "id" not in record or "annotations" not in record:
+    for lineno, record in iter_json_objects(source, "corpus", CorpusFormatError):
+        if "id" not in record or "annotations" not in record:
             raise CorpusFormatError(f"corpus line {lineno}: expected an object with 'id' and 'annotations'")
         item_id = record["id"]
         raw_annotations = record["annotations"]
@@ -331,7 +324,7 @@ def evaluate(
     folds: FoldAssignment,
     target_system: str,
     source_systems: Sequence[str],
-    scorer: str | Callable[[CorpusItem, str], float] = "avg",
+    scorer: str = "avg",
     embeddings: ConceptEmbeddingMatrix | None = None,
     graph: GenreGraph | None = None,
 ) -> EvalReport:
@@ -342,9 +335,7 @@ def evaluate(
     each tag with both a positive and a negative item yields an AUC, and
     the fold's macro average runs over those tags. Tags degenerate in a fold
     are excluded from its average. `scorer` is "sum", "avg", or "baseline",
-    scored for all items in one :func:`score_sets` call, or a callable
-    (item, target_tag) -> float for custom scoring, called item by item and
-    tag by tag in vocabulary order.
+    scored for all items in one :func:`score_sets` call.
     """
     source_systems = list(source_systems)
     if not source_systems:
@@ -364,28 +355,21 @@ def evaluate(
         if item.tags(target_system) and any(item.tags(s) for s in source_systems)
     ]
 
-    if callable(scorer):
-        scorer_name = getattr(scorer, "__name__", "custom")
-        scores = np.array(
-            [[float(scorer(item, tag)) for tag in vocabulary] for item in eligible], dtype=np.float64,
-        ).reshape(len(eligible), len(vocabulary))
-    else:
-        scorer_name = scorer
-        source_sets = [
-            {tag_node_id(system, tag) for system in source_systems for tag in item.tags(system)}
-            for item in eligible
-        ]
-        scores, dropped = score_sets(source_sets, target_ids, embeddings=embeddings, scorer=scorer, graph=graph)
-        if dropped.any():
+    source_sets = [
+        {tag_node_id(system, tag) for system in source_systems for tag in item.tags(system)}
+        for item in eligible
+    ]
+    scores, dropped = score_sets(source_sets, target_ids, embeddings=embeddings, scorer=scorer, graph=graph)
+    if dropped.any():
+        logger.warning(
+            "dropped %d source tags missing from the embedding vocabulary, from %d of %d items",
+            int(dropped.sum()), int(np.count_nonzero(dropped)), len(eligible),
+        )
+        unresolved = sum(len(tags) == lost for tags, lost in zip(source_sets, dropped))
+        if unresolved:
             logger.warning(
-                "dropped %d source tags missing from the embedding vocabulary, from %d of %d items",
-                int(dropped.sum()), int(np.count_nonzero(dropped)), len(eligible),
+                "%d items have no source tag in the embedding vocabulary; all their targets score 0", unresolved,
             )
-            unresolved = sum(len(tags) == lost for tags, lost in zip(source_sets, dropped))
-            if unresolved:
-                logger.warning(
-                    "%d items have no source tag in the embedding vocabulary; all their targets score 0", unresolved,
-                )
 
     column = {tag: j for j, tag in enumerate(vocabulary)}
     targets_of = [item.tags(target_system) for item in eligible]
@@ -415,7 +399,7 @@ def evaluate(
     return EvalReport(
         target_system=target_system,
         source_systems=tuple(source_systems),
-        scorer=scorer_name,
+        scorer=scorer,
         fold_aucs=tuple(fold_aucs),
         mean_auc=float(np.mean(fold_aucs)),
         std_auc=float(np.std(fold_aucs)),

@@ -3,8 +3,7 @@
 Covers tag normalization (non-alphanumeric tokenization plus vocabulary-based
 splitting of concatenated genres), JSON-lines ingestion, connected-component
 filtering, attachment of external tag systems, and path-based relatedness.
-Components and path lengths come from ``scipy.sparse.csgraph`` on one
-adjacency matrix, built from the edge list when first needed.
+Only this module knows how edges are stored and encoded: see :class:`GenreGraph`.
 """
 
 from __future__ import annotations
@@ -13,15 +12,15 @@ import json
 import logging
 import os
 import re
-import unicodedata
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ._lines import atomic_write, iter_lines
+from ._lines import atomic_write, iter_json_objects, iter_lines
+from .wordvec import normalize_word
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +34,8 @@ RELATIONS = frozenset({
 })
 # Relations asserting that two tags denote the same genre.
 EQUIVALENCE_RELATIONS = frozenset({"sameAs", "wikiPageRedirects"})
+# Relation -> integer code of the edge table, in sorted relation order.
+RELATION_CODES = {relation: code for code, relation in enumerate(sorted(RELATIONS))}
 
 _SEPARATOR_RUN = re.compile(r"[\W_]+", re.UNICODE)
 _LANGUAGE_CODE = re.compile(r"^[a-z]{2}$")
@@ -61,8 +62,7 @@ def normalize_tag(raw: str, split_vocabulary: Iterable[str] = ()) -> list[str]:
     kept whole.
     """
     vocabulary = split_vocabulary if isinstance(split_vocabulary, (set, frozenset)) else frozenset(split_vocabulary)
-    text = unicodedata.normalize("NFC", raw).lower()
-    rough = [t for t in _SEPARATOR_RUN.split(text) if t]
+    rough = _rough_tokens(raw)
     if not rough:
         raise ValueError(f"tag {raw!r} has no alphanumeric content")
     tokens: list[str] = []
@@ -111,8 +111,7 @@ class GenreNode:
         self.tokens = tuple(self.tokens)
 
 
-@dataclass(frozen=True)
-class GenreEdge:
+class GenreEdge(NamedTuple):
     src: str
     dst: str
     relation: str
@@ -121,20 +120,20 @@ class GenreEdge:
 class GenreGraph:
     """Typed genre graph: directed edge storage over an undirected adjacency.
 
-    Nodes keep insertion order. Edges are stored as read (direction retained
-    for fidelity) but adjacency, components, and paths ignore direction:
-    they read one symmetric 0/1 sparse matrix, built from the edge list the
-    first time it is needed and dropped by every change to the graph.
-    The word vocabulary used to normalize labels is kept so that tags
-    attached later are normalized consistently.
+    Nodes keep insertion order, and so do edges, each its own key in one
+    dict. Edges are stored as read (direction retained for fidelity). The
+    first read of the structure caches a table of (src position, dst
+    position, relation code) rows and, built from it, one symmetric 0/1
+    sparse adjacency, which components and paths read; every change to the
+    graph drops both. The word vocabulary used to normalize labels is kept
+    so that tags attached later are normalized consistently.
     """
 
     def __init__(self, word_vocabulary: Iterable[str] = ()):
         self._nodes: dict[str, GenreNode] = {}
-        self._edges: list[GenreEdge] = []
-        self._edge_keys: set[tuple[str, str, str]] = set()
-        # node ids in insertion order, id -> position, and the symmetric 0/1 adjacency matrix
-        self._cache: tuple[list[str], dict[str, int], sparse.csr_matrix] | None = None
+        self._edges: dict[GenreEdge, None] = {}
+        # node ids in insertion order, id -> position, the read-only edge table, and the adjacency
+        self._cache: tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix] | None = None
         self.word_vocabulary = frozenset(word_vocabulary)
 
     # -- construction -----------------------------------------------------
@@ -155,30 +154,30 @@ class GenreGraph:
             raise GraphFormatError(f"edge references missing node {dst!r}")
         if src == dst:
             raise GraphFormatError(f"self-loop on node {src!r}")
-        key = (src, dst, relation)
-        if key in self._edge_keys:
+        edge = GenreEdge(src, dst, relation)
+        if edge in self._edges:
             return False
-        self._edge_keys.add(key)
-        self._edges.append(GenreEdge(src, dst, relation))
+        self._edges[edge] = None
         self._cache = None
         return True
 
     def copy(self) -> "GenreGraph":
         out = GenreGraph(self.word_vocabulary)
         out._nodes = dict(self._nodes)
-        out._edges = list(self._edges)
-        out._edge_keys = set(self._edge_keys)
+        out._edges = dict(self._edges)
         return out
 
-    def _structure(self) -> tuple[list[str], dict[str, int], sparse.csr_matrix]:
+    def _structure(self) -> tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix]:
         if self._cache is None:
             ids = list(self._nodes)
             position = {nid: i for i, nid in enumerate(ids)}
-            ends = np.array([(position[e.src], position[e.dst]) for e in self._edges], dtype=np.intp).reshape(-1, 2).T
-            both = np.hstack([ends, ends[::-1]])
+            rows = [(position[src], position[dst], RELATION_CODES[rel]) for src, dst, rel in self._edges]
+            table = np.array(rows, dtype=np.intp).reshape(-1, 3)
+            table.flags.writeable = False
+            both = np.hstack([table[:, :2].T, table[:, 1::-1].T])
             matrix = sparse.csr_matrix((np.ones(both.shape[1]), tuple(both)), shape=(len(ids), len(ids)))
             matrix.data[:] = 1.0  # parallel edges and both directions of a pair were summed
-            self._cache = ids, position, matrix
+            self._cache = ids, position, table, matrix
         return self._cache
 
     def _positions(self, node_ids: Iterable[str], error: type[Exception] = ValueError) -> np.ndarray:
@@ -188,6 +187,20 @@ class GenreGraph:
             return np.array([position[nid] for nid in node_ids], dtype=np.intp)
         except KeyError as exc:
             raise error(f"unknown node id {exc.args[0]!r}") from None
+
+    def edge_arrays(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge, in edge order, as source and destination indices into `order` and relation codes.
+
+        Codes follow :data:`RELATION_CODES`. Raises ValueError unless `order`
+        is a permutation of the node ids.
+        """
+        ids, _, table, _ = self._structure()
+        positions = self._positions(order)
+        index_of = np.full(len(ids), -1, dtype=np.intp)
+        index_of[positions] = np.arange(len(positions))
+        if len(positions) != len(ids) or (index_of < 0).any():
+            raise ValueError("order is not a permutation of the node ids")
+        return index_of[table[:, 0]], index_of[table[:, 1]], table[:, 2]
 
     # -- views ------------------------------------------------------------
 
@@ -214,11 +227,11 @@ class GenreGraph:
         return node_id in self._nodes
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        ids, _, matrix = self._structure()
+        ids, _, _, matrix = self._structure()
         return tuple(sorted(ids[j] for j in matrix[self._positions([node_id], KeyError)[0]].indices))
 
     def degree(self, node_id: str) -> int:
-        indptr = self._structure()[2].indptr
+        indptr = self._structure()[3].indptr
         i = self._positions([node_id], KeyError)[0]
         return int(indptr[i + 1] - indptr[i])
 
@@ -228,7 +241,7 @@ class GenreGraph:
 
     def connected_components(self) -> list[frozenset[str]]:
         """Undirected components, ordered by their smallest member id."""
-        ids, _, matrix = self._structure()
+        ids, _, _, matrix = self._structure()
         if not ids:
             return []
         count, labels = csgraph.connected_components(matrix, directed=False)
@@ -242,7 +255,7 @@ class GenreGraph:
             return NotImplemented
         return (
             self._nodes == other._nodes
-            and self._edges == other._edges
+            and list(self._edges) == list(other._edges)  # dict equality would ignore order
             and self.word_vocabulary == other.word_vocabulary
         )
 
@@ -289,28 +302,13 @@ def load_lemma_table(source: str | os.PathLike | IO | Iterable[str]) -> dict[str
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise GraphFormatError(f"lemma table line {lineno}: expected 'word<TAB>lemma', got {line!r}")
-        word = unicodedata.normalize("NFC", parts[0]).lower()
-        lemma = unicodedata.normalize("NFC", parts[1]).lower()
-        table[word] = lemma
+        table[normalize_word(parts[0])] = normalize_word(parts[1])
     return table
 
 
 def _rough_tokens(label: str) -> list[str]:
-    text = unicodedata.normalize("NFC", label).lower()
-    return [t for t in _SEPARATOR_RUN.split(text) if t]
-
-
-def _parse_jsonl(source, what: str) -> Iterator[tuple[int, dict]]:
-    for lineno, line in enumerate(iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{what} line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise GraphFormatError(f"{what} line {lineno}: expected a JSON object")
-        yield lineno, record
+    """Tokens of the vocabulary key of `label` (as word vectors are looked up), split on separator runs."""
+    return [t for t in _SEPARATOR_RUN.split(normalize_word(label)) if t]
 
 
 def load_graph(
@@ -330,7 +328,7 @@ def load_graph(
 
     records: list[tuple[int, str, str, str]] = []
     seen_ids: set[str] = set()
-    for lineno, record in _parse_jsonl(nodes_source, "nodes"):
+    for lineno, record in iter_json_objects(nodes_source, "nodes", GraphFormatError):
         try:
             node_id, lang, label = record["id"], record["lang"], record["label"]
         except KeyError as exc:
@@ -363,7 +361,7 @@ def load_graph(
         graph.add_node(GenreNode(id=node_id, language=lang, raw_label=label, tokens=tuple(tokens)))
 
     dropped_loops = 0
-    for lineno, record in _parse_jsonl(edges_source, "edges"):
+    for lineno, record in iter_json_objects(edges_source, "edges", GraphFormatError):
         try:
             src, dst, rel = record["src"], record["dst"], record["rel"]
         except KeyError as exc:
@@ -388,12 +386,10 @@ def filter_graph(graph: GenreGraph, high_confidence: Iterable[str]) -> GenreGrap
         if component & wanted:
             keep |= component
     out = GenreGraph(graph.word_vocabulary)
-    for node in graph.nodes.values():
-        if node.id in keep:
-            out.add_node(node)
-    for edge in graph.edges:
-        if edge.src in keep and edge.dst in keep:
-            out.add_edge(edge.src, edge.dst, edge.relation)
+    out._nodes = {nid: node for nid, node in graph._nodes.items() if nid in keep}
+    # a kept component holds both ends of each of its edges, and the source graph
+    # already validated every node and edge, so nothing is checked again
+    out._edges = {edge: None for edge in graph._edges if edge.src in keep}
     return out
 
 
@@ -446,7 +442,7 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
     """
     source_positions = graph._positions(sources)
     target_positions = graph._positions(targets)
-    matrix = graph._structure()[2]
+    matrix = graph._structure()[3]
     hops = np.empty((len(source_positions), len(target_positions)))
     for row, i in enumerate(source_positions):
         hops[row] = csgraph.shortest_path(matrix, unweighted=True, indices=i)[target_positions]

@@ -21,13 +21,12 @@ import numpy as np
 from scipy import sparse
 
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph
+from .genregraph import EQUIVALENCE_RELATIONS, RELATION_CODES, GenreGraph
 
 logger = logging.getLogger(__name__)
 
 SCHEMES = ("uniform", "typed")
-_RELATION_CODE = {relation: code for code, relation in enumerate(sorted(RELATIONS))}
-_IS_EQUIVALENCE = np.array([relation in EQUIVALENCE_RELATIONS for relation in _RELATION_CODE], dtype=np.float64)
+_IS_EQUIVALENCE = np.array([relation in EQUIVALENCE_RELATIONS for relation in RELATION_CODES], dtype=np.float64)
 
 
 class SingularSystemError(ValueError):
@@ -82,13 +81,9 @@ def _weights(
     """
     n = len(q_hat.concepts)
     alpha = q_hat.known.astype(np.float64)
-    index = {cid: i for i, cid in enumerate(q_hat.concepts)}
-    edges = graph.edges
-    src = np.array([index[e.src] for e in edges], dtype=np.int64)
-    dst = np.array([index[e.dst] for e in edges], dtype=np.int64)
-    relation = np.array([_RELATION_CODE[e.relation] for e in edges], dtype=np.int64)
+    src, dst, relation = graph.edge_arrays(q_hat.concepts)
     # one key per distinct (unordered pair, relation), then one per distinct pair
-    kinds = len(_RELATION_CODE)
+    kinds = len(RELATION_CODES)
     relation_keys = np.unique((np.minimum(src, dst) * n + np.maximum(src, dst)) * kinds + relation)
     pair_keys, pair_of = np.unique(relation_keys // kinds, return_inverse=True)
     ends = np.stack(np.divmod(pair_keys, n), axis=1).astype(np.intp)

@@ -53,6 +53,23 @@ def bare_graph(node_ids: list[str], edges: list[tuple[str, str, str]], language:
     return graph
 
 
+def rebuilding_filter_graph(graph: GenreGraph, high_confidence) -> GenreGraph:
+    """Frozen copy of the former `filter_graph`, which rebuilt the kept graph through `add_node`/`add_edge`."""
+    wanted = set(high_confidence)
+    keep: set[str] = set()
+    for component in graph.connected_components():
+        if component & wanted:
+            keep |= component
+    out = GenreGraph(graph.word_vocabulary)
+    for node in graph.nodes.values():
+        if node.id in keep:
+            out.add_node(node)
+    for edge in graph.edges:
+        if edge.src in keep and edge.dst in keep:
+            out.add_edge(edge.src, edge.dst, edge.relation)
+    return out
+
+
 def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:
     """Emit nodes in the ingestion format (id, lang, label)."""
     for node in graph.nodes.values():

@@ -272,6 +272,23 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["dbp_en_rokc"], "'high_confidence' id 'dbp_en_rokc' is not a node of the graph"),
+            (["dbp_en_rock", "dbp_en_jaz", "dbp_en_rokc"], "'high_confidence' id 'dbp_en_jaz' is not a node"),
+            ([], "'high_confidence' is empty"),
+        ],
+    )
+    def test_unusable_high_confidence_rejected_before_graph_is_written(self, tmp_path, capsys, ids, message):
+        paths = write_demo_dataset(tmp_path / "data")
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        config["high_confidence"] = ids
+        paths["config"].write_text(json.dumps(config), encoding="utf-8")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+
     @pytest.mark.parametrize("sources", [["xx"], ["en", "xx"]])
     def test_source_system_without_tags_rejected(self, demo, capsys, sources):
         root, config = demo

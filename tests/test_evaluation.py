@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +93,18 @@ class TestLoadCorpus:
     def test_invalid_json_names_line(self):
         with pytest.raises(CorpusFormatError, match="line 1"):
             load_corpus(io.StringIO("not json\n"))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["b", {"en": ["Rock"]}]', "corpus line 2: expected a JSON object"),
+            ('{"id": "b"}', "corpus line 2: expected an object with 'id' and 'annotations'"),
+        ],
+    )
+    def test_malformed_record_names_line(self, line, message):
+        first = json.dumps({"id": "a", "annotations": {"en": ["Rock"], "fr": ["Rock"]}})
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            load_corpus(io.StringIO(first + "\n" + line + "\n"))
 
     def test_counts_are_per_system(self):
         corpus = load_corpus(corpus_lines([
@@ -316,45 +329,69 @@ class TestAucBinary:
         assert curved == pytest.approx(base, abs=1e-12)
 
 
+def fake_scores(monkeypatch, scores):
+    """Substitute `evaluate`'s batch scorer: `scores(source_sets, target_ids)` gives the score matrix."""
+    def fake(source_sets, targets, embeddings=None, scorer="avg", graph=None):
+        matrix = np.asarray(scores(source_sets, targets), dtype=np.float64)
+        assert matrix.shape == (len(source_sets), len(targets))
+        return matrix, np.zeros(len(source_sets), dtype=np.int64)
+
+    monkeypatch.setattr(evaluation, "score_sets", fake)
+
+
+def constant(value):
+    return lambda source_sets, targets: np.full((len(source_sets), len(targets)), value)
+
+
+def uniform_random(seed):
+    rng = np.random.default_rng(seed)
+    return lambda source_sets, targets: rng.random((len(source_sets), len(targets)))
+
+
+def ground_truth(corpus, target="tgt", sources=("src",)):
+    """Scores 1 where an evaluated item (corpus order) carries the target tag, else 0."""
+    eligible = [item for item in corpus.items if item.tags(target) and any(item.tags(s) for s in sources)]
+    positives = [{tag_node_id(target, tag) for tag in item.tags(target)} for item in eligible]
+
+    def scores(source_sets, targets):
+        return [[float(t in tags) for t in targets] for tags in positives]
+
+    return scores
+
+
 class TestEvaluate:
     def folds_for(self, corpus, k=4, seed=0):
         return stratified_split(corpus, k=k, seed=seed)
 
-    def test_ground_truth_scorer_reaches_one(self):
+    def test_ground_truth_scorer_reaches_one(self, monkeypatch):
         corpus = synthetic_corpus(60, seed=4)
-
-        def oracle(item, tag):
-            return 1.0 if tag in item.tags("tgt") else 0.0
-
-        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"], scorer=oracle)
+        fake_scores(monkeypatch, ground_truth(corpus))
+        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"])
         assert report.fold_aucs == (1.0, 1.0, 1.0, 1.0)
         assert report.mean_auc == 1.0
         assert report.std_auc == 0.0
 
-    def test_constant_scorer_scores_half(self):
+    def test_constant_scorer_scores_half(self, monkeypatch):
         corpus = synthetic_corpus(60, seed=4)
-        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda item, tag: 0.25)
+        fake_scores(monkeypatch, constant(0.25))
+        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"])
         assert report.fold_aucs == (0.5, 0.5, 0.5, 0.5)
 
-    def test_random_scorer_near_half_on_balanced_data(self):
+    def test_random_scorer_near_half_on_balanced_data(self, monkeypatch):
         corpus = synthetic_corpus(1000, seed=6, n_target_tags=6)
-        rng = random.Random(99)
-        report = evaluate(
-            corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda item, tag: rng.random()
-        )
+        fake_scores(monkeypatch, uniform_random(99))
+        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"])
         assert abs(report.mean_auc - 0.5) <= 0.05
 
-    def test_mean_within_fold_range_and_population_std(self):
+    def test_mean_within_fold_range_and_population_std(self, monkeypatch):
         corpus = synthetic_corpus(80, seed=10)
-        rng = random.Random(1)
-        report = evaluate(
-            corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda item, tag: rng.random()
-        )
+        fake_scores(monkeypatch, uniform_random(1))
+        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"])
         assert min(report.fold_aucs) <= report.mean_auc <= max(report.fold_aucs)
         assert report.std_auc == pytest.approx(float(np.std(report.fold_aucs)))
         assert all(0.0 <= v <= 1.0 for v in report.fold_aucs)
 
-    def test_degenerate_tags_excluded_from_macro(self):
+    def test_degenerate_tags_excluded_from_macro(self, monkeypatch):
         # t00 positive for every item, so it never qualifies; t01 varies
         items = []
         for n in range(8):
@@ -362,17 +399,19 @@ class TestEvaluate:
             items.append(CorpusItem(f"i{n}", {"src": ("s0",), "tgt": target}))
         corpus = ParallelCorpus(items=items, systems=("src", "tgt"))
         folds = stratified_split(corpus, k=4, seed=0)
-        report = evaluate(corpus, folds, "tgt", ["src"], scorer=lambda item, tag: 0.5)
+        fake_scores(monkeypatch, constant(0.5))
+        report = evaluate(corpus, folds, "tgt", ["src"])
         assert all(value is None for value in report.per_tag["t00"])
 
-    def test_fold_without_qualifying_tag_rejected(self):
+    def test_fold_without_qualifying_tag_rejected(self, monkeypatch):
         items = [CorpusItem(f"i{n}", {"src": ("s0",), "tgt": ("t0",)}) for n in range(8)]
         corpus = ParallelCorpus(items=items, systems=("src", "tgt"))
         folds = stratified_split(corpus, k=4, seed=0)
+        fake_scores(monkeypatch, constant(0.5))
         with pytest.raises(ValueError, match="no qualifying target tag"):
-            evaluate(corpus, folds, "tgt", ["src"], scorer=lambda item, tag: 0.5)
+            evaluate(corpus, folds, "tgt", ["src"])
 
-    def test_items_without_source_or_target_excluded(self):
+    def test_items_without_source_or_target_excluded(self, monkeypatch):
         items = [
             CorpusItem("no-source", {"other": ("x",), "tgt": ("t0", "t1")}),
             CorpusItem("no-target", {"src": ("s0",), "other": ("x",)}),
@@ -381,18 +420,16 @@ class TestEvaluate:
             items.append(CorpusItem(f"ok{n}", {"src": ("s0",), "tgt": ("t0",) if n % 2 else ("t1",)}))
         corpus = ParallelCorpus(items=items, systems=("src", "tgt", "other"))
         folds = stratified_split(corpus, k=2, seed=0)
-        report = evaluate(
-            corpus, folds, "tgt", ["src"],
-            scorer=lambda item, tag: 1.0 if tag in item.tags("tgt") else 0.0,
-        )
+        fake_scores(monkeypatch, ground_truth(corpus))
+        report = evaluate(corpus, folds, "tgt", ["src"])
         assert sum(report.items_per_fold) == 6  # the two partial items are excluded
 
-    def test_union_of_two_source_systems(self):
-        seen_items = {}
+    def test_union_of_two_source_systems(self, monkeypatch):
+        seen_sets = []
 
-        def spy(item, tag):
-            seen_items[item.id] = True
-            return 0.5
+        def spy(source_sets, targets):
+            seen_sets.extend(source_sets)
+            return constant(0.5)(source_sets, targets)
 
         items = [
             CorpusItem("a", {"s1": ("x",), "tgt": ("t0",)}),
@@ -402,43 +439,56 @@ class TestEvaluate:
         ]
         corpus = ParallelCorpus(items=items, systems=("s1", "s2", "tgt"))
         folds = stratified_split(corpus, k=2, seed=0)
-        evaluate(corpus, folds, "tgt", ["s1", "s2"], scorer=spy)
-        # items annotated in only one of the two source systems still evaluate
-        assert set(seen_items) == {"a", "b", "c", "d"}
+        fake_scores(monkeypatch, spy)
+        evaluate(corpus, folds, "tgt", ["s1", "s2"])
+        # items annotated in only one of the two source systems still evaluate, each
+        # scored from the union of its tags in both systems
+        assert seen_sets == [{"s1:x"}, {"s2:y"}, {"s1:x", "s2:y"}, {"s1:x"}]
 
-    def test_no_source_system_rejected(self):
+    def test_no_source_system_rejected(self, monkeypatch):
         corpus = synthetic_corpus(40, seed=1)
+        fake_scores(monkeypatch, constant(0.5))
         with pytest.raises(ValueError, match="evaluate needs at least one source system"):
-            evaluate(corpus, self.folds_for(corpus), "tgt", [], scorer=lambda item, tag: 0.5)
+            evaluate(corpus, self.folds_for(corpus), "tgt", [])
 
-    def test_item_without_fold_rejected(self):
+    def test_item_without_fold_rejected(self, monkeypatch):
         corpus = synthetic_corpus(40, seed=1)
         folds = self.folds_for(corpus)
         del folds.assignment["item0003"]
+        fake_scores(monkeypatch, constant(0.5))
         with pytest.raises(ValueError, match="'item0003' has no fold"):
-            evaluate(corpus, folds, "tgt", ["src"], scorer=lambda item, tag: 0.5)
+            evaluate(corpus, folds, "tgt", ["src"])
 
     @pytest.mark.parametrize("fold", [4, -1])
-    def test_fold_index_out_of_range_rejected(self, fold):
+    def test_fold_index_out_of_range_rejected(self, fold, monkeypatch):
         corpus = synthetic_corpus(40, seed=1)
         folds = self.folds_for(corpus)
         folds.assignment["item0003"] = fold
+        fake_scores(monkeypatch, constant(0.5))
         with pytest.raises(ValueError, match=f"'item0003' is assigned to fold {fold}, outside 0..3"):
-            evaluate(corpus, folds, "tgt", ["src"], scorer=lambda item, tag: 0.5)
+            evaluate(corpus, folds, "tgt", ["src"])
 
-    def test_target_cannot_be_source(self):
+    def test_target_cannot_be_source(self, monkeypatch):
         corpus = synthetic_corpus(20, seed=0)
+        fake_scores(monkeypatch, constant(0.0))
         with pytest.raises(ValueError, match="cannot also be a source"):
-            evaluate(corpus, self.folds_for(corpus), "tgt", ["tgt"], scorer=lambda i, t: 0.0)
+            evaluate(corpus, self.folds_for(corpus), "tgt", ["tgt"])
 
-    def test_report_serialization_roundtrip(self):
+    def test_report_serialization_roundtrip(self, monkeypatch):
         corpus = synthetic_corpus(40, seed=3)
-        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda i, t: 0.5)
+        fake_scores(monkeypatch, constant(0.5))
+        report = evaluate(corpus, self.folds_for(corpus), "tgt", ["src"])
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["fold_aucs"] == [0.5, 0.5, 0.5, 0.5]
+        assert payload["scorer"] == "avg"
         assert "per_tag" in payload
         table = report.render_table()
         assert "macro-AUC" in table and "mean" in table
+
+    def test_callable_scorer_rejected(self):
+        corpus = synthetic_corpus(40, seed=3)
+        with pytest.raises(ValueError, match="scorer must be one of"):
+            evaluate(corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda item, tag: 0.5)
 
 
 def _normalize_rows(matrix):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from genrevec import genregraph
 from genrevec.genregraph import (
     EQUIVALENCE_RELATIONS,
+    RELATION_CODES,
     RELATIONS,
+    GenreEdge,
     GenreGraph,
     GenreNode,
     GraphFormatError,
@@ -32,6 +35,7 @@ from helpers import (
     bare_graph,
     bfs_components,
     bfs_hops,
+    rebuilding_filter_graph,
     shortest_path_similarity,
     undirected_relations,
     write_edges_jsonl,
@@ -182,6 +186,17 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="duplicate node id"):
             load_graph(io.StringIO(nodes), io.StringIO(EDGES))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["n5", "en", "Rock"]', "nodes line 5: expected a JSON object"),
+            ('{"id": "n5", "label": "Rock"}', "nodes line 5: missing key 'lang'"),
+        ],
+    )
+    def test_malformed_node_record_names_line(self, line, message):
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            load_graph(io.StringIO(NODES + line + "\n"), io.StringIO(EDGES))
+
     def test_bad_language_code_rejected(self):
         nodes = '{"id": "a", "lang": "english", "label": "Rock"}\n'
         with pytest.raises(GraphFormatError, match="language"):
@@ -283,6 +298,18 @@ class TestFilterGraph:
         assert filter_graph(once, {"A"}) == once
         larger = filter_graph(graph, {"A", "C"})
         assert set(once.nodes) <= set(larger.nodes)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_rebuilding_oracle(self, seed):
+        graph = random_graph(seed)
+        rng = random.Random(seed)
+        wanted = rng.sample(graph.node_ids(), rng.randint(0, 3)) + ["absent"]
+        filtered = filter_graph(graph, wanted)
+        expected = rebuilding_filter_graph(graph, wanted)
+        assert filtered == expected
+        assert filtered.edges == expected.edges
+        assert filtered.to_dict() == expected.to_dict()
+        assert filtered.connected_components() == expected.connected_components()
 
 
 class TestAttachTagSystem:
@@ -453,6 +480,49 @@ class TestAdjacency:
     def test_empty_graph_has_no_components(self):
         assert GenreGraph().connected_components() == []
         assert filter_graph(GenreGraph(), ["x"]).connected_components() == []
+
+
+class TestEdgeStore:
+    def test_edge_is_its_own_key(self):
+        graph = bare_graph(["A", "B"], [("A", "B", "sameAs")])
+        assert graph.add_edge("A", "B", "sameAs") is False
+        assert graph.add_edge("B", "A", "sameAs") is True
+        first = graph.edges[0]
+        assert first == GenreEdge("A", "B", "sameAs") == ("A", "B", "sameAs")
+        assert (first.src, first.dst, first.relation) == ("A", "B", "sameAs")
+
+    def test_equality_counts_edge_order(self):
+        edges = [("A", "B", "sameAs"), ("B", "C", "derivative")]
+        forward = bare_graph(["A", "B", "C"], edges)
+        backward = bare_graph(["A", "B", "C"], edges[::-1])
+        assert set(forward.edges) == set(backward.edges)
+        assert forward != backward
+        assert forward == bare_graph(["A", "B", "C"], edges)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_arrays_in_a_permuted_order(self, seed):
+        graph = random_graph(seed)
+        order = graph.node_ids()
+        random.Random(seed).shuffle(order)
+        src, dst, relation = graph.edge_arrays(order)
+        relations = sorted(RELATION_CODES, key=RELATION_CODES.get)
+        decoded = [(order[s], order[d], relations[r]) for s, d, r in zip(src, dst, relation)]
+        assert decoded == [tuple(edge) for edge in graph.edges]
+        assert relations == sorted(RELATIONS)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ids: ids[:-1] + ["ghost"], "unknown node id 'ghost'"),
+            (lambda ids: ids[:-1] + ids[:1], "not a permutation"),
+            (lambda ids: ids[:-1], "not a permutation"),
+            (lambda ids: ids + ids[:1], "not a permutation"),
+        ],
+    )
+    def test_edge_arrays_order_must_be_a_permutation(self, edit, message):
+        graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
+        with pytest.raises(ValueError, match=message):
+            graph.edge_arrays(edit(graph.node_ids()))
 
 
 class TestRelationSets:

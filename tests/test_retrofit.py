@@ -344,6 +344,21 @@ class TestWeights:
                 assert alpha.tobytes() == expected_alpha.tobytes()
 
 
+class TestEdgeTable:
+    def test_public_calls_never_walk_edge_objects(self, monkeypatch):
+        graph, matrix = random_instance(5)
+
+        def walk(self):
+            raise AssertionError("GenreGraph.edges was read")
+
+        monkeypatch.setattr(GenreGraph, "edges", property(walk))
+        cfg = RetrofitConfig()
+        assert retrofit(matrix, graph, cfg).iterations > 0
+        assert objective(matrix, matrix, graph, cfg) >= 0.0
+        assert objective_gradient(matrix, matrix, graph, cfg).shape == matrix.vectors.shape
+        assert solve_direct(matrix, graph, cfg).concepts == matrix.concepts
+
+
 class TestSweepLoop:
     """The in-place sweep loop against a frozen copy of the allocating one, bit for bit."""
 
