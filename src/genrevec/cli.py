@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from ._lines import atomic_write
-from .compose import ConceptEmbeddingMatrix, compose_avg, compose_sif, load_matrix, save_matrix
+from .compose import ConceptEmbeddingMatrix, check_sif_a, compose_avg, compose_sif, load_matrix, save_matrix
 from .evaluation import EvalReport, evaluate, load_corpus, stratified_split
 from .genregraph import attach_tag_system, filter_graph, load_graph, load_lemma_table, load_saved_graph, save_graph
 from .retrofit import SCHEMES, RetrofitConfig, retrofit
@@ -123,6 +123,7 @@ class PipelineConfig:
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
         try:
+            check_sif_a(self.sif_a)  # whatever the composition: embed --composition sif can switch to it
             self.retrofit_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

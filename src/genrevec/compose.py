@@ -12,6 +12,7 @@ binary ``.npz`` archives.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -143,10 +144,15 @@ def compose_avg(
     return ConceptEmbeddingMatrix(concepts=list(tokens_per_concept), vectors=sums / counts[:, None], known=hits > 0)
 
 
+def check_sif_a(a: float) -> None:
+    """Reject a smoothing constant that is not positive and finite (NaN included)."""
+    if not 0 < a < math.inf:
+        raise ValueError(f"smoothing constant a must be positive and finite, got {a}")
+
+
 def sif_weight(rank: int | np.ndarray, a: float = DEFAULT_SIF_A) -> float | np.ndarray:
     """Smooth-inverse-frequency weight of a word at the given vocabulary rank (elementwise for an array)."""
-    if a <= 0:
-        raise ValueError(f"smoothing constant a must be positive, got {a}")
+    check_sif_a(a)
     return a / (a + estimate_frequency(rank))
 
 
@@ -163,8 +169,7 @@ def sif_weighted_means(
     that resolved. Returns (means, known); all-out-of-vocabulary concepts get
     the zero vector and known=False.
     """
-    if a <= 0:
-        raise ValueError(f"smoothing constant a must be positive, got {a}")
+    check_sif_a(a)
     sums, hits = _weighted_token_sums(tokens_per_concept, store, languages, a=a)
     return sums / np.maximum(hits, 1)[:, None], hits > 0
 

@@ -37,6 +37,9 @@ EQUIVALENCE_RELATIONS = frozenset({"sameAs", "wikiPageRedirects"})
 # Relation -> integer code of the edge table, in sorted relation order.
 RELATION_CODES = {relation: code for code, relation in enumerate(sorted(RELATIONS))}
 
+# Most sources one shortest-path call searches from; bounds its (sources x nodes) result.
+HOP_CHUNK = 64
+
 _SEPARATOR_RUN = re.compile(r"[\W_]+", re.UNICODE)
 _LANGUAGE_CODE = re.compile(r"^[a-z]{2}$")
 
@@ -124,8 +127,10 @@ class GenreGraph:
     dict. Edges are stored as read (direction retained for fidelity). The
     first read of the structure caches a table of (src position, dst
     position, relation code) rows and, built from it, one symmetric 0/1
-    sparse adjacency, which components and paths read; every change to the
-    graph drops both. The word vocabulary used to normalize labels is kept
+    sparse adjacency, which components and paths read. :func:`hop_counts`
+    memoizes the hop rows it searched for one target list. Every change to
+    the graph drops the table, the adjacency and the memo; a copy starts
+    without them. The word vocabulary used to normalize labels is kept
     so that tags attached later are normalized consistently.
     """
 
@@ -134,6 +139,8 @@ class GenreGraph:
         self._edges: dict[GenreEdge, None] = {}
         # node ids in insertion order, id -> position, the read-only edge table, and the adjacency
         self._cache: tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix] | None = None
+        # target positions, and source position -> its hop row to them (see hop_counts)
+        self._hop_memo: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
         self.word_vocabulary = frozenset(word_vocabulary)
 
     # -- construction -----------------------------------------------------
@@ -142,7 +149,7 @@ class GenreGraph:
         if node.id in self._nodes:
             raise GraphFormatError(f"duplicate node id {node.id!r}")
         self._nodes[node.id] = node
-        self._cache = None
+        self._cache = self._hop_memo = None
 
     def add_edge(self, src: str, dst: str, relation: str) -> bool:
         """Add a typed edge; returns False for an exact duplicate."""
@@ -158,7 +165,7 @@ class GenreGraph:
         if edge in self._edges:
             return False
         self._edges[edge] = None
-        self._cache = None
+        self._cache = self._hop_memo = None
         return True
 
     def copy(self) -> "GenreGraph":
@@ -438,14 +445,27 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
     """Shortest undirected path lengths, shape (sources, targets); inf where unreachable.
 
     Raises ValueError naming the first unknown id, sources before targets.
-    One shortest-path row per source, so memory stays linear in the node count.
+    The graph memoizes the hop row of every source searched for the target
+    list of the latest call: a source seen before is not searched again
+    until the graph changes, and a call with another target list starts a
+    new memo, so it holds at most (distinct sources) x (targets) floats.
+    Sources missing from it are searched :data:`HOP_CHUNK` to a call.
     """
-    source_positions = graph._positions(sources)
+    source_positions = graph._positions(sources).tolist()
     target_positions = graph._positions(targets)
-    matrix = graph._structure()[3]
+    memo = graph._hop_memo
+    rows = memo[1] if memo is not None and np.array_equal(memo[0], target_positions) else {}
+    missing = [i for i in dict.fromkeys(source_positions) if i not in rows]
+    if missing:
+        matrix = graph._structure()[3]
+        rows = dict(rows)
+        for start in range(0, len(missing), HOP_CHUNK):
+            chunk = missing[start:start + HOP_CHUNK]
+            rows.update(zip(chunk, csgraph.shortest_path(matrix, unweighted=True, indices=chunk)[:, target_positions]))
+        graph._hop_memo = target_positions, rows
     hops = np.empty((len(source_positions), len(target_positions)))
     for row, i in enumerate(source_positions):
-        hops[row] = csgraph.shortest_path(matrix, unweighted=True, indices=i)[target_positions]
+        hops[row] = rows[i]
     return hops
 
 

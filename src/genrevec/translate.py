@@ -71,8 +71,10 @@ def score_sets(
     multiplied against the targets once and its cosine rows summed, and
     divided by its size for "avg"; later sets with the same resolved tuple
     copy that row. A set with no resolved source scores 0 everywhere.
-    "baseline" computes one shortest-path row per distinct source and
-    averages 1/(1 + hops) over the set, requiring every id to be a graph node.
+    "baseline" takes one hop row per distinct source from
+    :func:`~genrevec.genregraph.hop_counts`, which searches only sources the
+    graph has not memoized for these targets, and averages 1/(1 + hops) over
+    the set, requiring every id to be a graph node.
     """
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")

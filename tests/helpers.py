@@ -11,6 +11,7 @@ from typing import IO, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.stats import rankdata
 
 from genrevec.compose import ConceptEmbeddingMatrix
@@ -105,6 +106,17 @@ def bfs_hops(graph: GenreGraph, source: str) -> dict[str, int]:
             if neighbor not in hops:
                 hops[neighbor] = hops[current] + 1
                 queue.append(neighbor)
+    return hops
+
+
+def per_source_hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:
+    """Oracle: hop_counts as it was before it memoized rows, one shortest-path call per source per call."""
+    source_positions = graph._positions(sources)
+    target_positions = graph._positions(targets)
+    matrix = graph._structure()[3]
+    hops = np.empty((len(source_positions), len(target_positions)))
+    for row, i in enumerate(source_positions):
+        hops[row] = csgraph.shortest_path(matrix, unweighted=True, indices=i)[target_positions]
     return hops
 
 

@@ -272,6 +272,16 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1])
+    def test_unusable_sif_a_rejected_before_build_graph(self, tmp_path, capsys, value):
+        paths = write_demo_dataset(tmp_path / "data")
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        config["sif_a"] = value  # json writes NaN and Infinity, which json.load reads back
+        paths["config"].write_text(json.dumps(config), encoding="utf-8")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err.startswith("error: smoothing constant a must be positive and finite")
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+
     @pytest.mark.parametrize(
         "ids, message",
         [

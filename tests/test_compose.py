@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -94,6 +95,14 @@ class TestSifWeights:
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ValueError):
             sif_weight(1, a=0.0)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unusable_a_rejected(self, a):
+        message = f"smoothing constant a must be positive and finite, got {a}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sif_weight(1, a=a)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sif_weighted_means({"c": ["rock"]}, make_store([("rock", [1.0, 0.0])]), a=a)
 
 
 class TestSifWeightedMeans:

@@ -1,5 +1,6 @@
 """Tests for corpus loading, stratified folds, ranking AUC, and the experiment driver."""
 
+import importlib
 import io
 import json
 import logging
@@ -36,6 +37,7 @@ from helpers import (
     bfs_hops,
     multisystem_corpus,
     paired_corpus,
+    per_source_hop_counts,
     rankdata_fold_aucs,
     scan_stratified_split,
     synthetic_corpus,
@@ -648,6 +650,33 @@ class TestBatchScoringOracle:
             report = evaluate(corpus, folds, "fr", ["en"], scorer=scorer, embeddings=embeddings, graph=graph)
             expected = oracle_evaluate(corpus, folds, "fr", ["en"], scorer, embeddings, graph)
             assert report.to_dict() == expected.to_dict()
+
+
+class TestMemoizedBaseline:
+    """Baseline scores through the graph's hop memo equal a fresh per-source search, bit for bit."""
+
+    def test_demo_data(self, tmp_path, monkeypatch):
+        paths = write_demo_dataset(tmp_path)
+        assert main(["build-graph", "--config", str(paths["config"])]) == 0
+        corpus = load_corpus(paths["corpus"], min_tag_count=1)
+        folds = stratified_split(corpus, k=4, seed=7)
+        graph = load_saved_graph(tmp_path / "out" / "graph.json")
+        rng = random.Random(7)
+        sources, targets = graph.system_tags("en"), graph.system_tags("fr")
+        target_lists = [targets, targets[::-2]]  # alternated, so the memo is replaced between them
+        queries = [(rng.sample(sources, rng.randint(1, 4)), target_lists[n % 2]) for n in range(40)]
+
+        def run():
+            reports = [evaluate(corpus, folds, "fr", ["en"], scorer="baseline", graph=graph).to_dict()]
+            results = [translate(q, t, scorer="baseline", graph=graph) for q, t in queries]
+            reports.append(evaluate(corpus, folds, "fr", ["en"], scorer="baseline", graph=graph).to_dict())
+            return reports, [(r.scores, r.ranking) for r in results]
+
+        memoized = run()
+        assert graph._hop_memo is not None
+        # the package exports the function translate, which hides the module of that name
+        monkeypatch.setattr(importlib.import_module("genrevec.translate"), "hop_counts", per_source_hop_counts)
+        assert run() == memoized
 
 
 class TestEvaluateWarnings:

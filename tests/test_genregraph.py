@@ -35,6 +35,7 @@ from helpers import (
     bare_graph,
     bfs_components,
     bfs_hops,
+    per_source_hop_counts,
     rebuilding_filter_graph,
     shortest_path_similarity,
     undirected_relations,
@@ -480,6 +481,89 @@ class TestAdjacency:
     def test_empty_graph_has_no_components(self):
         assert GenreGraph().connected_components() == []
         assert filter_graph(GenreGraph(), ["x"]).connected_components() == []
+
+
+def assert_same_hops(graph, sources, targets):
+    """hop_counts equals the per-source oracle bit for bit, dtype and shape included."""
+    hops, expected = hop_counts(graph, sources, targets), per_source_hop_counts(graph, sources, targets)
+    assert hops.dtype == expected.dtype == np.float64 and hops.shape == expected.shape
+    assert hops.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Record the `indices` of every shortest-path call hop_counts makes."""
+    calls = []
+    search = genregraph.csgraph.shortest_path
+
+    def counted(*args, **kwargs):
+        calls.append(list(kwargs["indices"]))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(genregraph.csgraph, "shortest_path", counted)
+    return calls
+
+
+class TestHopMemo:
+    """hop_counts memoizes rows per target list; every call still equals a fresh per-source search."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_call_sequence_matches_per_source_oracle(self, seed):
+        graph = random_graph(seed)
+        rng = random.Random(seed)
+        ids = [nid for nid in graph.node_ids() if not nid.startswith("lone")]  # kept isolated until below
+        first, second = rng.sample(ids, min(len(ids), 9)), rng.sample(ids, min(len(ids), 5))
+        some = rng.sample(ids, min(len(ids), 4))
+        others = some[:2] + rng.sample(ids, min(len(ids), 3))  # overlaps `some`
+        for sources, targets in [
+            (some, first), (others, first), (some[:1] * 3 + others, first), ([], first),
+            (some, second), (others, first), (some + ["lone1"], second), (some, first),
+        ]:
+            assert_same_hops(graph, sources, targets)
+
+        graph.add_edge("lone1", some[0], "derivative")  # lone1 was isolated, so distances change
+        assert_same_hops(graph, some + ["lone1"], first)
+        graph.add_node(GenreNode(id="late", language="en", raw_label="late", tokens=("late",)))
+        assert_same_hops(graph, ["late", *some, "lone1"], first)
+
+        twin = graph.copy()
+        memo = graph._hop_memo
+        twin.add_edge("lone2", "late", "sameAs")
+        assert_same_hops(twin, ["lone2", "late", *some], first + ["late"])
+        assert graph._hop_memo is memo
+        assert_same_hops(graph, ["lone2", "late", *some], first)
+
+    def test_repeated_call_runs_no_search(self, search_calls):
+        graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
+        hops = hop_counts(graph, ["A", "C", "A"], ["B", "C"])
+        assert search_calls == [[0, 2]]
+        np.testing.assert_array_equal(hop_counts(graph, ["A", "C", "A"], ["B", "C"]), hops)
+        np.testing.assert_array_equal(hop_counts(graph, ["C"], ["B", "C"]), hops[1:2])
+        assert search_calls == [[0, 2]]
+
+    def test_misses_searched_in_chunks_and_memo_follows_graph_and_targets(self, search_calls):
+        ids = [f"n{i:03d}" for i in range(150)]
+        graph = bare_graph(ids, [(a, b, "musicSubgenre") for a, b in zip(ids, ids[1:])])
+        targets = ids[::10]
+        hop_counts(graph, ids[:130], targets)
+        assert [len(call) for call in search_calls] == [64, 64, 2]
+        hop_counts(graph, ids[:130], targets)
+        assert len(search_calls) == 3
+        hops = hop_counts(graph, ids[120:140], targets)
+        assert search_calls[3:] == [list(range(130, 140))]
+        assert len(graph._hop_memo[1]) == 140  # one row per distinct source, of len(targets) floats
+        np.testing.assert_array_equal(hops, np.abs(np.arange(120, 140)[:, None] - np.arange(0, 150, 10)))
+
+        hop_counts(graph, ids[:2], ids[::5])  # another target list starts a new memo
+        hop_counts(graph, ids[:2], targets)
+        assert search_calls[4:] == [[0, 1], [0, 1]]
+        graph.add_node(GenreNode(id="late", language="en", raw_label="late", tokens=("late",)))
+        hop_counts(graph, ids[:2], targets)
+        graph.add_edge("late", ids[0], "sameAs")
+        hop_counts(graph, ids[:2], targets)
+        assert search_calls[6:] == [[0, 1], [0, 1]]
+        assert graph.copy()._hop_memo is None and filter_graph(graph, ids[:1])._hop_memo is None
+        assert attach_tag_system(graph, "x", ["late"], "en")._hop_memo is None
 
 
 class TestEdgeStore:
