@@ -1,7 +1,8 @@
 """Command-line pipeline: build-graph, embed, retrofit, translate, evaluate.
 
-All commands read a declarative JSON config; selected keys can be overridden
-by flags. Outputs are deterministic for identical inputs and seed.
+All commands read a declarative JSON config; the flags --composition,
+--scheme, --scorer and --seed override the config key of the same name for
+one run. Outputs are deterministic for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from pathlib import Path
 
 from . import __version__
 from ._lines import atomic_write
-from .compose import ConceptEmbeddingMatrix, check_sif_a, compose_avg, compose_sif, load_matrix, save_matrix
-from .evaluation import EvalReport, evaluate, load_corpus, stratified_split
+from .compose import DEFAULT_SIF_A, ConceptEmbeddingMatrix, check_sif_a, compose_avg, compose_sif
+from .compose import load_matrix, save_matrix
+from .evaluation import DEFAULT_MIN_TAG_COUNT, EvalReport, evaluate, load_corpus, stratified_split
 from .genregraph import attach_tag_system, filter_graph, load_graph, load_lemma_table, load_saved_graph, save_graph
 from .retrofit import SCHEMES, RetrofitConfig, retrofit
 from .translate import SCORERS, translate
@@ -27,6 +29,8 @@ from .wordvec import VectorSpace, load_vectors
 logger = logging.getLogger(__name__)
 
 COMPOSITIONS = ("avg", "sif")
+# Config keys that a flag of the same name overrides for one run.
+OVERRIDES = ("composition", "scheme", "scorer", "seed")
 
 
 class ConfigError(ValueError):
@@ -59,14 +63,14 @@ class PipelineConfig:
     workdir: str
     lemma_table: str | None = None
     composition: str = "sif"
-    sif_a: float = 1e-3
-    scheme: str = "typed"
-    tolerance: float = 1e-5
-    max_iters: int = 100
+    sif_a: float = DEFAULT_SIF_A
+    scheme: str = RetrofitConfig.scheme
+    tolerance: float = RetrofitConfig.tolerance
+    max_iters: int = RetrofitConfig.max_iters
     scorer: str = "avg"
     folds: int = 4
     seed: int = 0
-    min_tag_count: int = 16
+    min_tag_count: int = DEFAULT_MIN_TAG_COUNT
     tag_systems: list[TagSystemSpec] = field(default_factory=list)
     target_system: str | None = None
     source_systems: list[str] = field(default_factory=list)
@@ -96,15 +100,12 @@ class PipelineConfig:
         except TypeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         config._validate()
-        # Relative paths resolve against the config file's directory.
-        base = path.parent
-        config.vectors = {lang: str(_resolve(base, p)) for lang, p in config.vectors.items()}
-        config.graph_nodes = str(_resolve(base, config.graph_nodes))
-        config.graph_edges = str(_resolve(base, config.graph_edges))
-        config.corpus = str(_resolve(base, config.corpus))
-        config.workdir = str(_resolve(base, config.workdir))
-        if config.lemma_table:
-            config.lemma_table = str(_resolve(base, config.lemma_table))
+        # Relative paths resolve against the config file's directory; an empty lemma_table means none.
+        config.lemma_table = config.lemma_table or None
+        config.vectors = {lang: _resolve(path.parent, p) for lang, p in config.vectors.items()}
+        for key in ("graph_nodes", "graph_edges", "corpus", "workdir", "lemma_table"):
+            if getattr(config, key) is not None:
+                setattr(config, key, _resolve(path.parent, getattr(config, key)))
         return config
 
     def _validate(self) -> None:
@@ -132,27 +133,22 @@ class PipelineConfig:
         return RetrofitConfig(scheme=self.scheme, tolerance=self.tolerance, max_iters=self.max_iters)
 
 
-def _resolve(base: Path, value: str) -> Path:
+def _resolve(base: Path, value: str) -> str:
     p = Path(value)
-    return p if p.is_absolute() else base / p
+    return str(p if p.is_absolute() else base / p)
 
 
-def _workdir(config: PipelineConfig) -> Path:
-    out = Path(config.workdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _artifact(config: PipelineConfig, name: str) -> Path:
+    """Path of the named artifact in the work directory, which is created if missing."""
+    workdir = Path(config.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    return workdir / name
 
 
-def _graph_path(config: PipelineConfig) -> Path:
-    return _workdir(config) / "graph.json"
-
-
-def _embeddings_path(config: PipelineConfig) -> Path:
-    return _workdir(config) / "embeddings.npz"
-
-
-def _retrofitted_path(config: PipelineConfig) -> Path:
-    return _workdir(config) / "retrofitted.npz"
+def _write_json(path: Path, payload: dict) -> None:
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _sha256(path: Path) -> str:
@@ -183,12 +179,16 @@ def cmd_build_graph(config: PipelineConfig) -> Path:
             raise ConfigError(f"'high_confidence' id {missing!r} is not a node of the graph")
         graph = filter_graph(graph, config.high_confidence)
         logger.info("after confidence filter: %d nodes, %d edges", graph.node_count, graph.edge_count)
+    languages = sorted({node.language for node in graph.nodes.values()})
+    stray = next((system for system in config.tag_systems if system.language not in languages), None)
+    if stray is not None:
+        raise ConfigError(f"tag system {stray.name!r} has language {stray.language!r}; the graph has {languages}")
     corpus = load_corpus(config.corpus, min_tag_count=config.min_tag_count)
     for system in config.tag_systems:
         tags = corpus.system_vocabulary(system.name)
         graph = attach_tag_system(graph, system.name, tags, system.language)
         logger.info("attached %d tags for system %r", len(tags), system.name)
-    destination = _graph_path(config)
+    destination = _artifact(config, "graph.json")
     save_graph(graph, destination)
     print(f"graph written to {destination} ({graph.node_count} nodes, {graph.edge_count} edges)")
     return destination
@@ -196,7 +196,7 @@ def cmd_build_graph(config: PipelineConfig) -> Path:
 
 def cmd_embed(config: PipelineConfig) -> Path:
     """Compose initial embeddings for every graph node; write the matrix."""
-    graph_path = _graph_path(config)
+    graph_path = _artifact(config, "graph.json")
     graph = load_saved_graph(graph_path)
     stores = {lang: load_vectors(path) for lang, path in config.vectors.items()}
     space = VectorSpace(stores)
@@ -208,7 +208,7 @@ def cmd_embed(config: PipelineConfig) -> Path:
         matrix = compose_sif(tokens, space, a=config.sif_a, languages=languages)
     if not matrix.known.any():
         raise ValueError("no concept has any in-vocabulary word; check the vector files")
-    destination = _embeddings_path(config)
+    destination = _artifact(config, "embeddings.npz")
     metadata = {"composition": config.composition, "sif_a": config.sif_a, "graph_sha256": _sha256(graph_path)}
     save_matrix(matrix, destination, metadata=metadata)
     known = int(matrix.known.sum())
@@ -217,27 +217,16 @@ def cmd_embed(config: PipelineConfig) -> Path:
 
 
 def cmd_retrofit(config: PipelineConfig) -> Path:
-    """Refine the composed embeddings against the graph; write matrix and log."""
-    graph_path = _graph_path(config)
+    """Refine the composed embeddings against the graph; write the matrix and, as
+    convergence.json, the scheme and every field of the retrofit result but the matrix."""
+    graph_path = _artifact(config, "graph.json")
     graph = load_saved_graph(graph_path)
-    q_hat, metadata = _load_paired_matrix(_embeddings_path(config), graph_path)
+    q_hat, metadata = _load_paired_matrix(_artifact(config, "embeddings.npz"), graph_path)
     result = retrofit(q_hat, graph, config.retrofit_config())
-    destination = _retrofitted_path(config)
+    destination = _artifact(config, "retrofitted.npz")
     save_matrix(result.matrix, destination, metadata={**metadata, "scheme": config.scheme})
-    convergence = {
-        "scheme": config.scheme,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_delta": result.final_delta,
-        "deltas": list(result.deltas),
-        "pinned": list(result.pinned),
-        "objective_initial": result.objective_initial,
-        "objective_final": result.objective_final,
-    }
-    log_path = _workdir(config) / "convergence.json"
-    with atomic_write(log_path) as handle:
-        json.dump(convergence, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    log = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "matrix"}
+    _write_json(_artifact(config, "convergence.json"), {"scheme": config.scheme, **log})
     outcome = "converged in" if result.converged else "not converged after"
     print(
         f"retrofitted embeddings written to {destination} "
@@ -246,17 +235,17 @@ def cmd_retrofit(config: PipelineConfig) -> Path:
     return destination
 
 
-def _load_translation_inputs(config: PipelineConfig, scorer: str, matrix_path: str | None):
-    graph_path = _graph_path(config)
+def _load_translation_inputs(config: PipelineConfig, matrix_path: str | None):
+    graph_path = _artifact(config, "graph.json")
     graph = load_saved_graph(graph_path)
     embeddings = None
-    if scorer != "baseline":
+    if config.scorer != "baseline":
         if matrix_path:
             path = Path(matrix_path)
         else:
-            path = _retrofitted_path(config)
+            path = _artifact(config, "retrofitted.npz")
             if not path.exists():
-                path = _embeddings_path(config)
+                path = _artifact(config, "embeddings.npz")
         embeddings, _ = _load_paired_matrix(path, graph_path)
     return graph, embeddings
 
@@ -265,49 +254,40 @@ def cmd_translate(
     config: PipelineConfig,
     source_tags: list[str],
     target_system: str,
-    scorer: str | None = None,
     matrix_path: str | None = None,
     top: int = 0,
 ) -> None:
     """Print the ranked target-system tags for the given source tag ids."""
     if top < 0:
         raise ValueError(f"--top must be nonnegative, got {top}")
-    scorer = scorer or config.scorer
-    graph, embeddings = _load_translation_inputs(config, scorer, matrix_path)
+    graph, embeddings = _load_translation_inputs(config, matrix_path)
     targets = graph.system_tags(target_system)
     if not targets:
         raise ValueError(f"no tags attached for target system {target_system!r}")
-    result = translate(source_tags, targets, embeddings=embeddings, scorer=scorer, graph=graph)
+    result = translate(source_tags, targets, embeddings=embeddings, scorer=config.scorer, graph=graph)
     ranking = result.ranking[:top] if top else result.ranking
     for position, tag in enumerate(ranking, start=1):
         print(f"{position}\t{tag}\t{result.scores[tag]:.6f}")
 
 
-def cmd_evaluate(
-    config: PipelineConfig,
-    scorer: str | None = None,
-    matrix_path: str | None = None,
-) -> EvalReport:
+def cmd_evaluate(config: PipelineConfig, matrix_path: str | None = None) -> EvalReport:
     """Run the stratified translation experiment; write and print the report."""
-    scorer = scorer or config.scorer
     if not config.target_system or not config.source_systems:
         raise ConfigError("evaluate needs 'target_system' and 'source_systems' in the config")
     corpus = load_corpus(config.corpus, min_tag_count=config.min_tag_count)
     folds = stratified_split(corpus, k=config.folds, seed=config.seed)
-    graph, embeddings = _load_translation_inputs(config, scorer, matrix_path)
+    graph, embeddings = _load_translation_inputs(config, matrix_path)
     report = evaluate(
         corpus,
         folds,
         config.target_system,
         config.source_systems,
-        scorer=scorer,
+        scorer=config.scorer,
         embeddings=embeddings,
         graph=graph,
     )
-    destination = _workdir(config) / "report.json"
-    with atomic_write(destination) as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    destination = _artifact(config, "report.json")
+    _write_json(destination, report.to_dict())
     print(report.render_table())
     print(f"report written to {destination}")
     return report
@@ -358,29 +338,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = PipelineConfig.from_file(args.config)
-        if args.command == "build-graph":
-            cmd_build_graph(config)
-        elif args.command == "embed":
-            if args.composition:
-                config.composition = args.composition
-            cmd_embed(config)
-        elif args.command == "retrofit":
-            if args.scheme:
-                config.scheme = args.scheme
-            cmd_retrofit(config)
-        elif args.command == "translate":
-            cmd_translate(
-                config,
-                args.source_tags,
-                args.target_system,
-                scorer=args.scorer,
-                matrix_path=args.matrix,
-                top=args.top,
-            )
+        for key in OVERRIDES:
+            if getattr(args, key, None) is not None:
+                setattr(config, key, getattr(args, key))
+        if args.command == "translate":
+            cmd_translate(config, args.source_tags, args.target_system, matrix_path=args.matrix, top=args.top)
         elif args.command == "evaluate":
-            if args.seed is not None:
-                config.seed = args.seed
-            cmd_evaluate(config, scorer=args.scorer, matrix_path=args.matrix)
+            cmd_evaluate(config, matrix_path=args.matrix)
+        else:
+            {"build-graph": cmd_build_graph, "embed": cmd_embed, "retrofit": cmd_retrofit}[args.command](config)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

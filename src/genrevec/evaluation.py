@@ -24,7 +24,7 @@ import numpy as np
 
 from ._lines import iter_json_objects
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import GenreGraph, tag_node_id
+from .genregraph import GenreGraph, has_tokens, tag_node_id
 from .translate import score_sets
 
 logger = logging.getLogger(__name__)
@@ -75,13 +75,16 @@ def load_corpus(
 ) -> ParallelCorpus:
     """Read items from JSON lines of {"id": ..., "annotations": {system: [tags]}}.
 
-    Items annotated in fewer than two systems are dropped with a warning.
+    Tags with no alphanumeric content, which no graph node can stand for
+    (:func:`genrevec.genregraph.has_tokens`), are dropped with one warning.
+    Items then annotated in fewer than two systems are dropped with a warning.
     Items carrying any tag observed fewer than `min_tag_count` times in the
     loaded corpus are then filtered out in one pass (counts taken before
     filtering); pass 0 or 1 to disable.
     """
     items: list[CorpusItem] = []
     seen_ids: set[str] = set()
+    usable: dict[tuple[str, str], bool] = {}  # (system, tag) -> whether it has tokens
     thin = 0
     for lineno, record in iter_json_objects(source, "corpus", CorpusFormatError):
         if "id" not in record or "annotations" not in record:
@@ -99,13 +102,19 @@ def load_corpus(
         for system, tags in raw_annotations.items():
             if not isinstance(tags, list) or not all(isinstance(t, str) and t for t in tags):
                 raise CorpusFormatError(f"corpus line {lineno}: tags of {system!r} must be nonempty strings")
-            deduped = tuple(dict.fromkeys(tags))
+            for tag in tags:
+                if (system, tag) not in usable:
+                    usable[system, tag] = has_tokens(tag)
+            deduped = tuple(tag for tag in dict.fromkeys(tags) if usable[system, tag])
             if deduped:
                 annotations[system] = deduped
         if len(annotations) < 2:
             thin += 1
             continue
         items.append(CorpusItem(id=item_id, annotations=annotations))
+    tokenless = sum(not ok for ok in usable.values())
+    if tokenless:
+        logger.warning("dropped %d distinct tags with no alphanumeric content", tokenless)
     if thin:
         logger.warning("dropped %d items annotated in fewer than two systems", thin)
 

@@ -286,18 +286,38 @@ class GenreGraph:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "GenreGraph":
+        """Inverse of :meth:`to_dict`; GraphFormatError names a missing key or a value of the wrong type."""
+        if not isinstance(payload, Mapping):
+            raise GraphFormatError(f"expected a JSON object, got {_kind(payload)}")
+        missing = next((key for key in ("nodes", "edges") if key not in payload), None)
+        if missing is not None:
+            raise GraphFormatError(f"missing key {missing!r}")
+        for key in ("vocabulary", "nodes", "edges"):
+            if not isinstance(payload.get(key, []), list):
+                raise GraphFormatError(f"{key!r} must be a list, got {_kind(payload[key])}")
         graph = cls(payload.get("vocabulary", ()))
-        for record in payload["nodes"]:
-            graph.add_node(GenreNode(
-                id=record["id"],
-                language=record["lang"],
-                raw_label=record["label"],
-                tokens=tuple(record["tokens"]),
-                system=record.get("system"),
-            ))
-        for record in payload["edges"]:
-            graph.add_edge(record["src"], record["dst"], record["rel"])
+        section = "nodes"
+        try:
+            for index, record in enumerate(payload["nodes"]):
+                graph.add_node(GenreNode(
+                    id=record["id"],
+                    language=record["lang"],
+                    raw_label=record["label"],
+                    tokens=tuple(record["tokens"]),
+                    system=record.get("system"),
+                ))
+            section = "edges"
+            for index, record in enumerate(payload["edges"]):
+                graph.add_edge(record["src"], record["dst"], record["rel"])
+        except KeyError as exc:
+            raise GraphFormatError(f"{section}[{index}]: missing key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise GraphFormatError(f"{section}[{index}]: malformed record {record!r} ({exc})") from None
         return graph
+
+
+def _kind(value) -> str:
+    return "null" if value is None else type(value).__name__
 
 
 def load_lemma_table(source: str | os.PathLike | IO | Iterable[str]) -> dict[str, str]:
@@ -316,6 +336,12 @@ def load_lemma_table(source: str | os.PathLike | IO | Iterable[str]) -> dict[str
 def _rough_tokens(label: str) -> list[str]:
     """Tokens of the vocabulary key of `label` (as word vectors are looked up), split on separator runs."""
     return [t for t in _SEPARATOR_RUN.split(normalize_word(label)) if t]
+
+
+def has_tokens(tag: str) -> bool:
+    """Whether `tag` has alphanumeric content: :func:`normalize_tag` rejects it, and
+    :func:`attach_tag_system` skips it, when it has none."""
+    return bool(_rough_tokens(tag))
 
 
 def load_graph(
@@ -482,7 +508,13 @@ def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:
 
 
 def load_saved_graph(path: str | os.PathLike) -> GenreGraph:
-    """Read a graph written by :func:`save_graph`."""
+    """Read a graph written by :func:`save_graph`; a malformed file raises GraphFormatError naming it."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return GenreGraph.from_dict(payload)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+    try:
+        return GenreGraph.from_dict(payload)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None

@@ -9,9 +9,13 @@ import pytest
 
 from genrevec import cli
 from genrevec.cli import PipelineConfig, main
-from genrevec.compose import load_matrix, save_matrix
-from genrevec.evaluation import EvalReport
+from genrevec.compose import DEFAULT_SIF_A, load_matrix, save_matrix
+from genrevec.evaluation import DEFAULT_MIN_TAG_COUNT, EvalReport
 from genrevec.fixtures import write_demo_dataset
+from genrevec.retrofit import RetrofitConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+STAGES = (["build-graph"], ["embed"], ["retrofit"], ["evaluate"], ["translate", "en:Hard_rock", "--target-system", "fr"])
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +31,21 @@ def demo(tmp_path_factory):
 
 def out_dir(root: Path) -> Path:
     return root / "out"
+
+
+def edit_config(path: Path, **changes) -> None:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.update(changes)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def run_stages(root: Path, capsys, flags: dict[str, list[str]] | None = None) -> tuple[list[str], dict[str, bytes]]:
+    """Stdout of each of STAGES on the dataset under `root` (stage -> extra flags), then every artifact."""
+    outputs = []
+    for stage in STAGES:
+        assert main([*stage, "--config", str(root / "config.json"), *(flags or {}).get(stage[0], [])]) == 0, stage
+        outputs.append(capsys.readouterr().out.replace(str(root), "<root>"))
+    return outputs, {entry.name: entry.read_bytes() for entry in sorted(out_dir(root).iterdir())}
 
 
 class TestPipeline:
@@ -131,7 +150,28 @@ class TestPipeline:
         assert {entry.name: entry.read_bytes() for entry in out_dir(root).iterdir()} == before
 
 
-class TestGraphPairing:
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "key, value, stages",
+        [
+            ("composition", "avg", ["embed"]),
+            ("scheme", "uniform", ["retrofit"]),
+            ("scorer", "sum", ["evaluate", "translate"]),
+            ("scorer", "baseline", ["evaluate", "translate"]),
+            ("seed", 3, ["evaluate"]),
+        ],
+    )
+    def test_flag_equals_editing_the_config_key(self, tmp_path, capsys, key, value, stages):
+        for name in ("plain", "flag", "edited"):
+            write_demo_dataset(tmp_path / name)
+        edit_config(tmp_path / "edited" / "config.json", **{key: value})
+        plain = run_stages(tmp_path / "plain", capsys)
+        flagged = run_stages(tmp_path / "flag", capsys, {stage: [f"--{key}", str(value)] for stage in stages})
+        edited = run_stages(tmp_path / "edited", capsys)
+        assert flagged == edited
+        assert flagged != plain  # the key changes what the run writes or prints
+
+
     @pytest.fixture()
     def embedded(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "data")
@@ -282,6 +322,33 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: smoothing constant a must be positive and finite")
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
+    def test_tag_system_language_missing_from_graph_rejected_before_graph_is_written(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "data")
+        edit_config(paths["config"], tag_systems=[{"name": "en", "language": "en"}, {"name": "fr", "language": "french"}])
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err == (
+            "error: tag system 'fr' has language 'french'; the graph has ['en', 'fr']\n"
+        )
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"nodes": [{"id": "en:Rock", "label": "Rock", "tokens": ["rock"], "system": "en"}], "edges": []},
+             "nodes[0]: missing key 'lang'"),
+            ([1, 2], "expected a JSON object, got list"),
+            ({"vocabulary": [], "nodes": [], "edges": None}, "'edges' must be a list, got null"),
+        ],
+    )
+    def test_malformed_graph_artifact_rejected(self, tmp_path, capsys, payload, message):
+        paths = write_demo_dataset(tmp_path / "data")
+        graph_path = tmp_path / "data" / "out" / "graph.json"
+        graph_path.parent.mkdir()
+        graph_path.write_text(json.dumps(payload), encoding="utf-8")
+        for command in (["embed"], ["translate", "en:Rock", "--target-system", "fr", "--scorer", "baseline"]):
+            assert main([*command, "--config", str(paths["config"])]) == 2, command
+            assert capsys.readouterr().err == f"error: {graph_path}: {message}\n", command
+
     @pytest.mark.parametrize(
         "ids, message",
         [
@@ -326,6 +393,30 @@ class TestErrors:
         assert err.startswith("error: ") and str(missing) in err
 
 
+class TestCorpusTagsWithoutTokens:
+    def test_reports_match_the_clean_corpus(self, tmp_path, capsys, caplog):
+        for name in ("clean", "polluted"):
+            write_demo_dataset(tmp_path / name)
+        corpus = tmp_path / "polluted" / "corpus.jsonl"
+        records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        for index, record in enumerate(records):
+            if index % 2 == 0:
+                record["annotations"]["fr"].append("!!!")
+            if index % 3 == 0:
+                record["annotations"]["en"].append("???")
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            clean, polluted = (run_stages(tmp_path / name, capsys) for name in ("clean", "polluted"))
+        assert polluted == clean
+        assert "dropped 2 distinct tags with no alphanumeric content" in caplog.text
+        for name in ("clean", "polluted"):
+            assert main(["evaluate", "--config", str(tmp_path / name / "config.json"), "--scorer", "baseline"]) == 0
+        capsys.readouterr()
+        assert (out_dir(tmp_path / "polluted") / "report.json").read_bytes() == (
+            out_dir(tmp_path / "clean") / "report.json"
+        ).read_bytes()
+
+
 class TestConfig:
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "data")
@@ -339,3 +430,19 @@ class TestConfig:
         cfg = config.retrofit_config()
         assert cfg.scheme == "typed"
         assert cfg.max_iters == 100
+
+    def test_defaults_are_the_library_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        retrofit_defaults = RetrofitConfig()
+        assert defaults["sif_a"] == DEFAULT_SIF_A
+        assert defaults["min_tag_count"] == DEFAULT_MIN_TAG_COUNT
+        for key in ("scheme", "tolerance", "max_iters"):
+            assert defaults[key] == getattr(retrofit_defaults, key), key
+
+    def test_readme_config_block_lists_every_key(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("### Config file\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert set(json.loads(block)) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        path = tmp_path / "config.json"
+        path.write_text(block, encoding="utf-8")
+        PipelineConfig.from_file(path)

@@ -108,6 +108,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=re.escape(message)):
             load_corpus(io.StringIO(first + "\n" + line + "\n"))
 
+    def test_tags_without_tokens_dropped_before_thin_and_count_rules(self, caplog):
+        # 'a' keeps only its en tags once '!!!' goes, so it counts as single-system;
+        # the count rule sees '--' nowhere, so 'b' survives min_tag_count=2
+        records = [
+            {"id": "a", "annotations": {"en": ["Rock", "!!!"], "fr": ["!!!", "--"]}},
+            {"id": "b", "annotations": {"en": ["Rock", "??"], "fr": ["Rock", "--"]}},
+            {"id": "c", "annotations": {"en": ["Rock"], "fr": ["Rock"]}},
+        ]
+        with caplog.at_level("WARNING"):
+            corpus = load_corpus(corpus_lines(records), min_tag_count=2)
+        assert [(item.id, item.annotations) for item in corpus.items] == [
+            ("b", {"en": ("Rock",), "fr": ("Rock",)}),
+            ("c", {"en": ("Rock",), "fr": ("Rock",)}),
+        ]
+        assert "dropped 4 distinct tags with no alphanumeric content" in caplog.text
+        assert "dropped 1 items annotated in fewer than two systems" in caplog.text
+
     def test_counts_are_per_system(self):
         corpus = load_corpus(corpus_lines([
             {"id": "a", "annotations": {"en": ["Rock"], "fr": ["Rock"]}},

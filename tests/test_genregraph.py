@@ -230,6 +230,38 @@ class TestLoadGraph:
         assert load_saved_graph(path) == graph
 
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"nodes": [{"id": "en:Rock", "label": "Rock", "tokens": ["rock"]}], "edges": []},
+             "nodes[0]: missing key 'lang'"),
+            ([1, 2], "expected a JSON object, got list"),
+            ({"nodes": [], "edges": None}, "'edges' must be a list, got null"),
+            ({"nodes": []}, "missing key 'edges'"),
+            ({"nodes": ["en:Rock"], "edges": []}, "nodes[0]: malformed record 'en:Rock'"),
+            ({"nodes": [], "edges": [{"src": "a", "dst": "b"}]}, "edges[0]: missing key 'rel'"),
+        ],
+    )
+    def test_malformed_saved_graph_names_file_and_problem(self, tmp_path, payload, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}: {message}")):
+            load_saved_graph(path)
+
+    def test_saved_graph_that_is_not_json_names_file(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"nodes": [', encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}: invalid JSON (Expecting value)")):
+            load_saved_graph(path)
+
+    def test_saved_graph_keeps_the_edge_checks(self, tmp_path):
+        path = tmp_path / "graph.json"
+        payload = small_graph().to_dict()
+        payload["edges"].append({"src": payload["nodes"][0]["id"], "dst": "nowhere", "rel": "sameAs"})
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}: edge references missing node 'nowhere'")):
+            load_saved_graph(path)
+
     def test_saved_graph_is_one_line_of_sorted_key_json(self, tmp_path):
         graph = attach_tag_system(small_graph(), "sys", ["Hardrock", "Crunk"], "en")
         path = tmp_path / "graph.json"
