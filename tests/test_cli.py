@@ -172,6 +172,7 @@ class TestOverrides:
         assert flagged != plain  # the key changes what the run writes or prints
 
 
+class TestGraphPairing:
     @pytest.fixture()
     def embedded(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "data")
