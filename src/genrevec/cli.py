@@ -123,6 +123,10 @@ class PipelineConfig:
             raise ConfigError(f"scorer must be one of {SCORERS}")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
+        attached = {system.name for system in self.tag_systems}
+        for role, name in [("target", self.target_system), *(("source", name) for name in self.source_systems)]:
+            if name is not None and name not in attached:
+                raise ConfigError(f"{role} system {name!r} has no 'tag_systems' entry, so none of its tags is attached")
         try:
             check_sif_a(self.sif_a)  # whatever the composition: embed --composition sif can switch to it
             self.retrofit_config()
@@ -186,6 +190,9 @@ def cmd_build_graph(config: PipelineConfig) -> Path:
     corpus = load_corpus(config.corpus, min_tag_count=config.min_tag_count)
     for system in config.tag_systems:
         tags = corpus.system_vocabulary(system.name)
+        if not tags:
+            systems = list(corpus.systems)
+            raise ConfigError(f"tag system {system.name!r} has no tags in the corpus, whose systems are {systems}")
         graph = attach_tag_system(graph, system.name, tags, system.language)
         logger.info("attached %d tags for system %r", len(tags), system.name)
     destination = _artifact(config, "graph.json")

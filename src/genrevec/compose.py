@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from ._lines import atomic_write
-from .wordvec import VectorFormatError, VectorSpace, WordVectorStore, estimate_frequency
+from .wordvec import VectorFormatError, VectorSpace, estimate_frequency
 
 DEFAULT_SIF_A = 1e-3
 
@@ -85,34 +85,30 @@ class ConceptEmbeddingMatrix:
 
 def _weighted_token_sums(
     tokens_per_concept: Mapping[str, Sequence[str]],
-    store: WordVectorStore | VectorSpace,
-    languages: Mapping[str, str] | None,
+    space: VectorSpace,
+    languages: Mapping[str, str],
     a: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per concept, in order: the sum of its in-vocabulary token vectors and the number of them.
 
-    Each token vector is weighted 1 (`a` is None) or ``sif_weight(rank, a)``.
-    Each language store contributes one product of a concepts x vocabulary
-    CSR weight matrix with its vectors. The CSR matrix is built from its
-    arrays, so a repeated token keeps both entries, and the product sums
-    each row from zero in token order, exactly as a loop over the tokens
-    would. Concepts whose language has no store keep the zero sum.
+    Each token is read from the store of its concept's language and weighted 1
+    (`a` is None) or ``sif_weight(rank, a)``. Each store contributes one product
+    of a concepts x vocabulary CSR weight matrix with its vectors. The CSR matrix
+    is built from its arrays, so a repeated token keeps both entries, and the
+    product sums each row from zero in token order, exactly as a loop over the
+    tokens would. Concepts whose language has no store keep the zero sum.
     """
-    by_language = isinstance(store, VectorSpace)
-    if by_language and languages is None:
-        raise ValueError("a languages mapping (concept id -> language) is required with a VectorSpace")
-    stores = store.stores if by_language else {None: store}
-    rows_by_language: dict[str | None, list[int]] = {}
+    rows_by_language: dict[str, list[int]] = {}
     for i, (cid, tokens) in enumerate(tokens_per_concept.items()):
         if not tokens:
             raise ValueError(f"concept {cid!r} has an empty token list")
-        rows_by_language.setdefault(languages[cid] if by_language else None, []).append(i)
+        rows_by_language.setdefault(languages[cid], []).append(i)
 
     token_lists = list(tokens_per_concept.values())
-    sums = np.zeros((len(token_lists), store.dim))
+    sums = np.zeros((len(token_lists), space.dim))
     hits = np.zeros(len(token_lists), dtype=np.int64)
     for language, rows in rows_by_language.items():
-        vocabulary = stores.get(language)
+        vocabulary = space.stores.get(language)
         if vocabulary is None:
             continue
         ranks: list[int] = []
@@ -130,16 +126,16 @@ def _weighted_token_sums(
 
 def compose_avg(
     tokens_per_concept: Mapping[str, Sequence[str]],
-    store: WordVectorStore | VectorSpace,
-    languages: Mapping[str, str] | None = None,
+    space: VectorSpace,
+    languages: Mapping[str, str],
 ) -> ConceptEmbeddingMatrix:
-    """Average the word vectors of each concept's tokens.
+    """Average the word vectors of each concept's tokens, read from the store of its language.
 
     An out-of-vocabulary token contributes the zero vector but still counts
     toward the denominator. A concept is unknown (and gets the zero vector)
     iff all its tokens are out of vocabulary.
     """
-    sums, hits = _weighted_token_sums(tokens_per_concept, store, languages)
+    sums, hits = _weighted_token_sums(tokens_per_concept, space, languages)
     counts = np.array([len(tokens) for tokens in tokens_per_concept.values()], dtype=np.int64)
     return ConceptEmbeddingMatrix(concepts=list(tokens_per_concept), vectors=sums / counts[:, None], known=hits > 0)
 
@@ -158,9 +154,9 @@ def sif_weight(rank: int | np.ndarray, a: float = DEFAULT_SIF_A) -> float | np.n
 
 def sif_weighted_means(
     tokens_per_concept: Mapping[str, Sequence[str]],
-    store: WordVectorStore | VectorSpace,
+    space: VectorSpace,
+    languages: Mapping[str, str],
     a: float = DEFAULT_SIF_A,
-    languages: Mapping[str, str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First composition stage: frequency-weighted means over in-vocabulary tokens.
 
@@ -170,7 +166,7 @@ def sif_weighted_means(
     the zero vector and known=False.
     """
     check_sif_a(a)
-    sums, hits = _weighted_token_sums(tokens_per_concept, store, languages, a=a)
+    sums, hits = _weighted_token_sums(tokens_per_concept, space, languages, a=a)
     return sums / np.maximum(hits, 1)[:, None], hits > 0
 
 
@@ -201,9 +197,9 @@ def remove_common_direction(matrix: np.ndarray, direction: np.ndarray) -> np.nda
 
 def compose_sif(
     tokens_per_concept: Mapping[str, Sequence[str]],
-    store: WordVectorStore | VectorSpace,
+    space: VectorSpace,
+    languages: Mapping[str, str],
     a: float = DEFAULT_SIF_A,
-    languages: Mapping[str, str] | None = None,
 ) -> ConceptEmbeddingMatrix:
     """Smooth-inverse-frequency composition with common-direction removal.
 
@@ -211,7 +207,7 @@ def compose_sif(
     leading singular direction of the matrix of known rows (zero rows carry
     no signal and are excluded). Unknown concepts keep the zero vector.
     """
-    means, known = sif_weighted_means(tokens_per_concept, store, a=a, languages=languages)
+    means, known = sif_weighted_means(tokens_per_concept, space, languages, a=a)
     if int(known.sum()) < 2:
         raise ValueError("smooth-inverse-frequency composition needs at least 2 known concepts")
     direction = principal_direction(means[known])

@@ -109,9 +109,24 @@ class GenreNode:
     system: str | None = None  # None for base-graph nodes, else the tag system name
 
     def __post_init__(self):
+        _check_node_fields(self.id, self.language, self.raw_label)
+        if not isinstance(self.tokens, (list, tuple)) or not all(isinstance(t, str) and t for t in self.tokens):
+            raise GraphFormatError(f"node {self.id!r}: tokens must be a list of non-empty strings, got {self.tokens!r}")
         if not self.tokens:
             raise GraphFormatError(f"node {self.id!r} has no tokens")
+        if self.system is not None and not isinstance(self.system, str):
+            raise GraphFormatError(f"node {self.id!r}: invalid system {self.system!r}")
         self.tokens = tuple(self.tokens)
+
+
+def _check_node_fields(node_id, language, label) -> None:
+    """GraphFormatError unless the id and label are non-empty strings and the language a two-letter code."""
+    if not isinstance(node_id, str) or not node_id:
+        raise GraphFormatError(f"invalid id {node_id!r}")
+    if not isinstance(language, str) or not _LANGUAGE_CODE.match(language):
+        raise GraphFormatError(f"node {node_id!r}: invalid language code {language!r}")
+    if not isinstance(label, str) or not label:
+        raise GraphFormatError(f"node {node_id!r}: invalid label {label!r}")
 
 
 class GenreEdge(NamedTuple):
@@ -153,6 +168,8 @@ class GenreGraph:
 
     def add_edge(self, src: str, dst: str, relation: str) -> bool:
         """Add a typed edge; returns False for an exact duplicate."""
+        if not (isinstance(src, str) and isinstance(dst, str) and isinstance(relation, str)):
+            raise GraphFormatError(f"edge src, dst and relation must be strings, got {src!r}, {dst!r}, {relation!r}")
         if relation not in RELATIONS:
             raise GraphFormatError(f"unknown relation {relation!r}")
         if src not in self._nodes:
@@ -295,7 +312,11 @@ class GenreGraph:
         for key in ("vocabulary", "nodes", "edges"):
             if not isinstance(payload.get(key, []), list):
                 raise GraphFormatError(f"{key!r} must be a list, got {_kind(payload[key])}")
-        graph = cls(payload.get("vocabulary", ()))
+        vocabulary = payload.get("vocabulary", [])
+        stray = next((i for i, word in enumerate(vocabulary) if not isinstance(word, str)), None)
+        if stray is not None:
+            raise GraphFormatError(f"vocabulary[{stray}]: expected a string, got {_kind(vocabulary[stray])}")
+        graph = cls(vocabulary)
         section = "nodes"
         try:
             for index, record in enumerate(payload["nodes"]):
@@ -303,7 +324,7 @@ class GenreGraph:
                     id=record["id"],
                     language=record["lang"],
                     raw_label=record["label"],
-                    tokens=tuple(record["tokens"]),
+                    tokens=record["tokens"],
                     system=record.get("system"),
                 ))
             section = "edges"
@@ -366,12 +387,10 @@ def load_graph(
             node_id, lang, label = record["id"], record["lang"], record["label"]
         except KeyError as exc:
             raise GraphFormatError(f"nodes line {lineno}: missing key {exc.args[0]!r}") from None
-        if not isinstance(node_id, str) or not node_id:
-            raise GraphFormatError(f"nodes line {lineno}: invalid id {node_id!r}")
-        if not isinstance(lang, str) or not _LANGUAGE_CODE.match(lang):
-            raise GraphFormatError(f"nodes line {lineno}: invalid language code {lang!r}")
-        if not isinstance(label, str) or not label:
-            raise GraphFormatError(f"nodes line {lineno}: invalid label {label!r}")
+        try:
+            _check_node_fields(node_id, lang, label)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"nodes line {lineno}: {exc}") from None
         if node_id in seen_ids:
             raise GraphFormatError(f"nodes line {lineno}: duplicate node id {node_id!r}")
         seen_ids.add(node_id)
@@ -399,7 +418,7 @@ def load_graph(
             src, dst, rel = record["src"], record["dst"], record["rel"]
         except KeyError as exc:
             raise GraphFormatError(f"edges line {lineno}: missing key {exc.args[0]!r}") from None
-        if src == dst:
+        if isinstance(src, str) and src == dst:  # add_edge rejects a non-string endpoint
             dropped_loops += 1
             continue
         try:

@@ -185,9 +185,9 @@ def estimate_frequency(rank: int | np.ndarray) -> float | np.ndarray:
 class VectorSpace:
     """Per-language word vector stores projected into one aligned space.
 
-    Lookups are keyed by (word, language); all stores must agree on the
-    embedding dimensionality. A missing language behaves like an
-    out-of-vocabulary word.
+    All stores must agree on the embedding dimensionality. Composition reads
+    a concept's words from the store of its language; a language with no
+    store behaves like an out-of-vocabulary word.
     """
 
     def __init__(self, stores: Mapping[str, WordVectorStore]):
@@ -198,9 +198,3 @@ class VectorSpace:
             raise ValueError(f"stores disagree on dimensionality: {sorted(dims)}")
         self.stores = dict(stores)
         self.dim = dims.pop()
-
-    def lookup(self, word: str, language: str) -> tuple[np.ndarray, int] | None:
-        store = self.stores.get(language)
-        if store is None:
-            return None
-        return store.lookup(word)

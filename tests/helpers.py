@@ -19,7 +19,7 @@ from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
 from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts, tag_node_id
 from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
 from genrevec.translate import cosine
-from genrevec.wordvec import WordVectorStore, load_vectors
+from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
 
 
 def make_store(entries: list[tuple[str, list[float]]]) -> WordVectorStore:
@@ -41,6 +41,11 @@ FIXTURE_STORE_ENTRIES = [
 
 def fixture_store() -> WordVectorStore:
     return make_store(FIXTURE_STORE_ENTRIES)
+
+
+def one_language(tokens_per_concept: dict, store: WordVectorStore, language: str = "en") -> tuple:
+    """Composition arguments with every concept in one language: (tokens, a space of `store` alone, languages)."""
+    return tokens_per_concept, VectorSpace({language: store}), dict.fromkeys(tokens_per_concept, language)
 
 
 def bare_graph(node_ids: list[str], edges: list[tuple[str, str, str]], language: str = "en") -> GenreGraph:

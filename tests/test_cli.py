@@ -339,6 +339,8 @@ class TestErrors:
              "nodes[0]: missing key 'lang'"),
             ([1, 2], "expected a JSON object, got list"),
             ({"vocabulary": [], "nodes": [], "edges": None}, "'edges' must be a list, got null"),
+            ({"nodes": [{"id": "en:Rock", "lang": "en", "label": "Rock", "tokens": "rock"}], "edges": []},
+             "node 'en:Rock': tokens must be a list of non-empty strings, got 'rock'"),
         ],
     )
     def test_malformed_graph_artifact_rejected(self, tmp_path, capsys, payload, message):
@@ -349,6 +351,49 @@ class TestErrors:
         for command in (["embed"], ["translate", "en:Rock", "--target-system", "fr", "--scorer", "baseline"]):
             assert main([*command, "--config", str(paths["config"])]) == 2, command
             assert capsys.readouterr().err == f"error: {graph_path}: {message}\n", command
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"src": ["dbp_en_rock"], "dst": "dbp_fr_rock", "rel": "sameAs"},
+            {"src": "dbp_en_rock", "dst": {"id": "dbp_fr_rock"}, "rel": "sameAs"},
+            {"src": "dbp_en_rock", "dst": "dbp_fr_rock", "rel": ["sameAs"]},
+        ],
+    )
+    def test_non_string_edge_field_rejected_before_graph_is_written(self, tmp_path, capsys, edge):
+        paths = write_demo_dataset(tmp_path / "data")
+        lines = paths["edges"].read_text(encoding="utf-8").splitlines()
+        paths["edges"].write_text("\n".join([*lines, json.dumps(edge)]) + "\n", encoding="utf-8")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: edges line {len(lines) + 1}: edge src, dst and relation must be strings, got ")
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+
+    @pytest.mark.parametrize(
+        "tag_systems, message",
+        [
+            ([{"name": "fr", "language": "fr"}], "source system 'en' has no 'tag_systems' entry"),
+            ([{"name": "en", "language": "en"}], "target system 'fr' has no 'tag_systems' entry"),
+        ],
+    )
+    def test_evaluated_system_that_is_not_attached_rejected(self, tmp_path, capsys, tag_systems, message):
+        # with 'en' unattached, every source tag would be dropped and evaluate would report AUC 0.5
+        paths = write_demo_dataset(tmp_path / "data")
+        edit_config(paths["config"], tag_systems=tag_systems)
+        for stage in STAGES:
+            assert main([*stage, "--config", str(paths["config"])]) == 2, stage
+            assert capsys.readouterr().err == f"error: {message}, so none of its tags is attached\n", stage
+        assert not (tmp_path / "data" / "out").exists()
+
+    def test_tag_system_without_corpus_tags_rejected_before_graph_is_written(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "data")
+        systems = [{"name": "en", "language": "en"}, {"name": "fr", "language": "fr"}, {"name": "de", "language": "en"}]
+        edit_config(paths["config"], tag_systems=systems)
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err == (
+            "error: tag system 'de' has no tags in the corpus, whose systems are ['en', 'fr']\n"
+        )
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     @pytest.mark.parametrize(
         "ids, message",
@@ -372,6 +417,7 @@ class TestErrors:
         root, config = demo
         payload = json.loads(Path(config).read_text(encoding="utf-8"))
         payload["source_systems"] = sources
+        payload["tag_systems"].append({"name": "xx", "language": "en"})  # attached, but the corpus has no xx tags
         edited = root / "config_unknown_source.json"
         edited.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["evaluate", "--config", str(edited)]) == 2
@@ -447,3 +493,13 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(block, encoding="utf-8")
         PipelineConfig.from_file(path)
+
+
+class TestReadme:
+    def test_library_use_block_runs_on_the_demo_data(self, tmp_path, monkeypatch, capsys):
+        section = README.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        write_demo_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        exec(block, {})
+        assert capsys.readouterr().out == block.rsplit("# ", 1)[1]  # the printed line the block states

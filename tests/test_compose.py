@@ -25,60 +25,53 @@ from genrevec.compose import (
 )
 from genrevec.wordvec import VectorFormatError, VectorSpace, estimate_frequency
 
-from helpers import fixture_store, make_store
+from helpers import fixture_store, make_store, one_language
 
 
 class TestComposeAvg:
     def test_single_word_identity(self):
-        matrix = compose_avg({"c": ["rock"]}, fixture_store())
+        matrix = compose_avg(*one_language({"c": ["rock"]}, fixture_store()))
         np.testing.assert_array_equal(matrix.vector("c"), [1.0, 0.0, 0.0])
         assert matrix.is_known("c")
 
     def test_two_word_mean(self):
-        matrix = compose_avg({"c": ["dance", "pop"]}, fixture_store())
+        matrix = compose_avg(*one_language({"c": ["dance", "pop"]}, fixture_store()))
         np.testing.assert_allclose(matrix.vector("c"), [0.5, 0.5, 0.0])
 
     def test_all_oov_concept_is_zero_and_unknown(self):
-        matrix = compose_avg({"c": ["chillstep"]}, fixture_store())
+        matrix = compose_avg(*one_language({"c": ["chillstep"]}, fixture_store()))
         np.testing.assert_array_equal(matrix.vector("c"), [0.0, 0.0, 0.0])
         assert not matrix.is_known("c")
 
     def test_oov_token_counts_in_denominator(self):
         # one hit + one miss: mean over 2 tokens, not over 1
-        matrix = compose_avg({"c": ["rock", "chillstep"]}, fixture_store())
+        matrix = compose_avg(*one_language({"c": ["rock", "chillstep"]}, fixture_store()))
         np.testing.assert_allclose(matrix.vector("c"), [0.5, 0.0, 0.0])
         assert matrix.is_known("c")
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(ValueError, match="empty token list"):
-            compose_avg({"c": []}, fixture_store())
+            compose_avg(*one_language({"c": []}, fixture_store()))
 
     def test_identical_vectors_average_to_themselves(self):
         store = make_store([("a", [0.25, -0.5]), ("b", [0.25, -0.5]), ("c", [0.25, -0.5])])
-        matrix = compose_avg({"x": ["a", "b", "c"]}, store)
+        matrix = compose_avg(*one_language({"x": ["a", "b", "c"]}, store))
         np.testing.assert_array_equal(matrix.vector("x"), [0.25, -0.5])
 
     @given(st.permutations(["rock", "pop", "dance", "jazz"]))
     @settings(max_examples=24, deadline=None)
     def test_token_order_invariance(self, tokens):
-        reference = compose_avg({"c": ["rock", "pop", "dance", "jazz"]}, fixture_store())
-        shuffled = compose_avg({"c": list(tokens)}, fixture_store())
+        reference = compose_avg(*one_language({"c": ["rock", "pop", "dance", "jazz"]}, fixture_store()))
+        shuffled = compose_avg(*one_language({"c": list(tokens)}, fixture_store()))
         np.testing.assert_allclose(shuffled.vector("c"), reference.vector("c"), atol=1e-15)
 
     def test_multilingual_space_routes_by_language(self):
         en = make_store([("rock", [1.0, 0.0])])
         fr = make_store([("rock", [0.0, 1.0])])
         space = VectorSpace({"en": en, "fr": fr})
-        matrix = compose_avg(
-            {"a": ["rock"], "b": ["rock"]}, space, languages={"a": "en", "b": "fr"}
-        )
+        matrix = compose_avg({"a": ["rock"], "b": ["rock"]}, space, {"a": "en", "b": "fr"})
         np.testing.assert_array_equal(matrix.vector("a"), [1.0, 0.0])
         np.testing.assert_array_equal(matrix.vector("b"), [0.0, 1.0])
-
-    def test_space_without_languages_rejected(self):
-        space = VectorSpace({"en": fixture_store()})
-        with pytest.raises(ValueError, match="languages"):
-            compose_avg({"a": ["rock"]}, space)
 
 
 class TestSifWeights:
@@ -102,38 +95,39 @@ class TestSifWeights:
         with pytest.raises(ValueError, match=re.escape(message)):
             sif_weight(1, a=a)
         with pytest.raises(ValueError, match=re.escape(message)):
-            sif_weighted_means({"c": ["rock"]}, make_store([("rock", [1.0, 0.0])]), a=a)
+            sif_weighted_means(*one_language({"c": ["rock"]}, make_store([("rock", [1.0, 0.0])])), a=a)
 
 
 class TestSifWeightedMeans:
     def test_oov_tokens_skipped_entirely(self):
         store = fixture_store()
-        means, known = sif_weighted_means({"c": ["rock", "chillstep"]}, store)
+        means, known = sif_weighted_means(*one_language({"c": ["rock", "chillstep"]}, store))
         expected = sif_weight(1) * np.array([1.0, 0.0, 0.0])  # mean over the single hit
         np.testing.assert_allclose(means[0], expected)
         assert known[0]
 
     def test_all_oov_row_is_zero_unknown(self):
-        means, known = sif_weighted_means({"c": ["zzz"], "d": ["rock"]}, fixture_store())
+        means, known = sif_weighted_means(*one_language({"c": ["zzz"], "d": ["rock"]}, fixture_store()))
         np.testing.assert_array_equal(means[0], 0.0)
         assert not known[0]
         assert known[1]
 
     def test_weight_uses_store_rank(self):
-        means, _ = sif_weighted_means({"c": ["jazz"]}, fixture_store())
+        means, _ = sif_weighted_means(*one_language({"c": ["jazz"]}, fixture_store()))
         expected = (0.001 / (0.001 + estimate_frequency(4))) * np.array([0.0, 0.0, 1.0])
         np.testing.assert_allclose(means[0], expected)
 
 
 def token_loop_compose(tokens_per_concept, space, languages, a=None):
-    """Reference: each concept's tokens walked one lookup at a time, as compose_avg
-    (a is None) or sif_weighted_means (a given) accumulate them. With no
-    `languages`, `space` is a plain store."""
+    """Reference: each concept's tokens walked one lookup at a time in the store of
+    its language, as compose_avg (a is None) or sif_weighted_means (a given)
+    accumulate them."""
     rows, known = [], []
     for cid, tokens in tokens_per_concept.items():
         acc, hits = np.zeros(space.dim), 0
+        store = space.stores.get(languages[cid])
         for token in tokens:
-            found = space.lookup(token) if languages is None else space.lookup(token, languages[cid])
+            found = None if store is None else store.lookup(token)
             if found is not None:
                 acc += found[0] if a is None else (a / (a + estimate_frequency(found[1]))) * found[0]
                 hits += 1
@@ -163,7 +157,7 @@ class TestTokenResolution:
         assert not known.all() and known.any()
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("layout", ["plain store", "language without a store"])
+    @pytest.mark.parametrize("layout", ["one language", "language without a store"])
     def test_other_store_layouts_match_the_token_loop_bit_for_bit(self, layout, seed):
         rng = np.random.default_rng(seed)
         words = [f"w{i}" for i in range(30)]
@@ -172,22 +166,22 @@ class TestTokenResolution:
             return make_store([(w, rng.normal(size=5).tolist()) for w in rng.permutation(words)[:20]])
 
         tokens = {f"c{i}": list(rng.choice(words + ["oov"], size=int(rng.integers(1, 5)))) for i in range(40)}
-        if layout == "plain store":
-            space, languages = random_store(), None
+        if layout == "one language":
+            tokens, space, languages = one_language(tokens, random_store())
         else:
             space = VectorSpace({"en": random_store(), "fr": random_store()})
             languages = {cid: ("en", "de", "fr")[i % 3] for i, cid in enumerate(tokens)}
-        matrix = compose_avg(tokens, space, languages=languages)
+        matrix = compose_avg(tokens, space, languages)
         vectors, known = token_loop_compose(tokens, space, languages)
         assert matrix.vectors.tobytes() == vectors.tobytes() and matrix.known.tolist() == known.tolist()
-        means, known_sif = sif_weighted_means(tokens, space, a=1e-3, languages=languages)
+        means, known_sif = sif_weighted_means(tokens, space, languages, a=1e-3)
         vectors, known = token_loop_compose(tokens, space, languages, a=1e-3)
         assert means.tobytes() == vectors.tobytes() and known_sif.tolist() == known.tolist()
         assert not known.all() and known.any()
-        if languages is not None:
-            storeless = np.array([languages[cid] == "de" for cid in tokens])
-            assert not matrix.known[storeless].any() and not known_sif[storeless].any()
-            assert not matrix.vectors[storeless].any() and not means[storeless].any()
+        storeless = np.array([languages[cid] == "de" for cid in tokens])
+        assert not matrix.known[storeless].any() and not known_sif[storeless].any()
+        assert not matrix.vectors[storeless].any() and not means[storeless].any()
+        assert storeless.any() == (layout == "language without a store")
 
 
 class TestPrincipalDirection:
@@ -223,8 +217,9 @@ class TestComposeSif:
             ("pop", [0.9, -0.1, 0.3]),
             ("jazz", [0.8, 0.0, -0.4]),
         ])
-        matrix = compose_sif({"a": ["rock"], "b": ["pop"], "c": ["jazz", "rock"]}, store)
-        means, known = sif_weighted_means({"a": ["rock"], "b": ["pop"], "c": ["jazz", "rock"]}, store)
+        arguments = one_language({"a": ["rock"], "b": ["pop"], "c": ["jazz", "rock"]}, store)
+        matrix = compose_sif(*arguments)
+        means, known = sif_weighted_means(*arguments)
         u = principal_direction(means[known])
         assert np.max(np.abs(matrix.vectors[matrix.known] @ u)) <= 1e-8
 
@@ -241,17 +236,17 @@ class TestComposeSif:
         assert np.all(np.linalg.norm(oracle, axis=1) <= epsilon)
 
     def test_unknown_rows_stay_zero(self):
-        matrix = compose_sif({"a": ["rock"], "b": ["pop"], "c": ["zzz"]}, fixture_store())
+        matrix = compose_sif(*one_language({"a": ["rock"], "b": ["pop"], "c": ["zzz"]}, fixture_store()))
         np.testing.assert_array_equal(matrix.vector("c"), [0.0, 0.0, 0.0])
         assert not matrix.is_known("c")
 
     def test_fewer_than_two_known_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            compose_sif({"a": ["rock"], "b": ["zzz"]}, fixture_store())
+            compose_sif(*one_language({"a": ["rock"], "b": ["zzz"]}, fixture_store()))
 
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ValueError):
-            compose_sif({"a": ["rock"], "b": ["pop"]}, fixture_store(), a=-1.0)
+            compose_sif(*one_language({"a": ["rock"], "b": ["pop"]}, fixture_store()), a=-1.0)
 
 
 def archive_arrays(n: int = 3, dim: int = 2) -> dict:

@@ -147,6 +147,10 @@ EDGES = """\
 """
 
 
+# one valid graph.json node record
+SAVED_NODE = {"id": "n1", "lang": "en", "label": "Rock", "tokens": ["rock"], "system": None}
+
+
 def small_graph():
     return load_graph(io.StringIO(NODES), io.StringIO(EDGES))
 
@@ -240,6 +244,17 @@ class TestLoadGraph:
             ({"nodes": []}, "missing key 'edges'"),
             ({"nodes": ["en:Rock"], "edges": []}, "nodes[0]: malformed record 'en:Rock'"),
             ({"nodes": [], "edges": [{"src": "a", "dst": "b"}]}, "edges[0]: missing key 'rel'"),
+            ({"nodes": [{**SAVED_NODE, "lang": 5}], "edges": []}, "node 'n1': invalid language code 5"),
+            ({"nodes": [{**SAVED_NODE, "label": None}], "edges": []}, "node 'n1': invalid label None"),
+            ({"nodes": [{**SAVED_NODE, "id": ""}], "edges": []}, "invalid id ''"),
+            ({"nodes": [{**SAVED_NODE, "system": 7}], "edges": []}, "node 'n1': invalid system 7"),
+            ({"nodes": [{**SAVED_NODE, "tokens": [1, 2]}], "edges": []},
+             "node 'n1': tokens must be a list of non-empty strings, got [1, 2]"),
+            ({"nodes": [{**SAVED_NODE, "tokens": [""]}], "edges": []},
+             "node 'n1': tokens must be a list of non-empty strings, got ['']"),
+            ({"nodes": [{**SAVED_NODE, "tokens": "rock"}], "edges": []},  # not the tokens r, o, c, k
+             "node 'n1': tokens must be a list of non-empty strings, got 'rock'"),
+            ({"vocabulary": ["rock", 1, None], "nodes": [], "edges": []}, "vocabulary[1]: expected a string, got int"),
         ],
     )
     def test_malformed_saved_graph_names_file_and_problem(self, tmp_path, payload, message):
@@ -261,6 +276,20 @@ class TestLoadGraph:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(GraphFormatError, match=re.escape(f"{path}: edge references missing node 'nowhere'")):
             load_saved_graph(path)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"src": ["n1"], "dst": "n2", "rel": "sameAs"},
+            {"src": "n1", "dst": {"id": "n2"}, "rel": "sameAs"},
+            {"src": "n1", "dst": "n2", "rel": ["sameAs"]},
+            {"src": ["n1"], "dst": ["n1"], "rel": "sameAs"},  # equal lists are no self-loop to drop
+        ],
+    )
+    def test_non_string_edge_field_names_line(self, edge):
+        edges = EDGES + json.dumps(edge) + "\n"
+        with pytest.raises(GraphFormatError, match="^edges line 3: edge src, dst and relation must be strings, got "):
+            load_graph(io.StringIO(NODES), io.StringIO(edges))
 
     def test_saved_graph_is_one_line_of_sorted_key_json(self, tmp_path):
         graph = attach_tag_system(small_graph(), "sys", ["Hardrock", "Crunk"], "en")

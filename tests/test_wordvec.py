@@ -253,11 +253,3 @@ class TestVectorSpace:
         b = load_vectors(io.StringIO("1 3\ny 1 0 0\n"))
         with pytest.raises(ValueError, match="dimensionality"):
             VectorSpace({"en": a, "fr": b})
-
-    def test_language_scoped_lookup(self):
-        en = load_vectors(io.StringIO("1 2\nrock 1 0\n"))
-        fr = load_vectors(io.StringIO("1 2\nrock 0 1\n"))
-        space = VectorSpace({"en": en, "fr": fr})
-        np.testing.assert_array_equal(space.lookup("rock", "en")[0], [1.0, 0.0])
-        np.testing.assert_array_equal(space.lookup("rock", "fr")[0], [0.0, 1.0])
-        assert space.lookup("rock", "es") is None
