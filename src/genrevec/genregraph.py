@@ -41,7 +41,7 @@ RELATION_CODES = {relation: code for code, relation in enumerate(sorted(RELATION
 HOP_CHUNK = 64
 
 _SEPARATOR_RUN = re.compile(r"[\W_]+", re.UNICODE)
-_LANGUAGE_CODE = re.compile(r"^[a-z]{2}$")
+_LANGUAGE_CODE = re.compile(r"[a-z]{2}")
 
 
 class GraphFormatError(ValueError):
@@ -109,7 +109,14 @@ class GenreNode:
     system: str | None = None  # None for base-graph nodes, else the tag system name
 
     def __post_init__(self):
-        _check_node_fields(self.id, self.language, self.raw_label)
+        """GraphFormatError unless the id and label are non-empty strings, the language a
+        two-letter code, the tokens non-empty strings and the system a string or None."""
+        if not isinstance(self.id, str) or not self.id:
+            raise GraphFormatError(f"invalid id {self.id!r}")
+        if not isinstance(self.language, str) or not _LANGUAGE_CODE.fullmatch(self.language):
+            raise GraphFormatError(f"node {self.id!r}: invalid language code {self.language!r}")
+        if not isinstance(self.raw_label, str) or not self.raw_label:
+            raise GraphFormatError(f"node {self.id!r}: invalid label {self.raw_label!r}")
         if not isinstance(self.tokens, (list, tuple)) or not all(isinstance(t, str) and t for t in self.tokens):
             raise GraphFormatError(f"node {self.id!r}: tokens must be a list of non-empty strings, got {self.tokens!r}")
         if not self.tokens:
@@ -117,16 +124,6 @@ class GenreNode:
         if self.system is not None and not isinstance(self.system, str):
             raise GraphFormatError(f"node {self.id!r}: invalid system {self.system!r}")
         self.tokens = tuple(self.tokens)
-
-
-def _check_node_fields(node_id, language, label) -> None:
-    """GraphFormatError unless the id and label are non-empty strings and the language a two-letter code."""
-    if not isinstance(node_id, str) or not node_id:
-        raise GraphFormatError(f"invalid id {node_id!r}")
-    if not isinstance(language, str) or not _LANGUAGE_CODE.match(language):
-        raise GraphFormatError(f"node {node_id!r}: invalid language code {language!r}")
-    if not isinstance(label, str) or not label:
-        raise GraphFormatError(f"node {node_id!r}: invalid label {label!r}")
 
 
 class GenreEdge(NamedTuple):
@@ -145,8 +142,9 @@ class GenreGraph:
     sparse adjacency, which components and paths read. :func:`hop_counts`
     memoizes the hop rows it searched for one target list. Every change to
     the graph drops the table, the adjacency and the memo; a copy starts
-    without them. The word vocabulary used to normalize labels is kept
-    so that tags attached later are normalized consistently.
+    without them. The word vocabulary (the node labels' words and their
+    lemmas, see :func:`load_graph`) is kept so that attached tags split
+    against it.
     """
 
     def __init__(self, word_vocabulary: Iterable[str] = ()):
@@ -168,6 +166,17 @@ class GenreGraph:
 
     def add_edge(self, src: str, dst: str, relation: str) -> bool:
         """Add a typed edge; returns False for an exact duplicate."""
+        edge = self._checked_edge(src, dst, relation)
+        if src == dst:
+            raise GraphFormatError(f"self-loop on node {src!r}")
+        if edge in self._edges:
+            return False
+        self._edges[edge] = None
+        self._cache = self._hop_memo = None
+        return True
+
+    def _checked_edge(self, src, dst, relation) -> GenreEdge:
+        """The edge, or GraphFormatError unless its fields are strings, the relation known and both nodes present."""
         if not (isinstance(src, str) and isinstance(dst, str) and isinstance(relation, str)):
             raise GraphFormatError(f"edge src, dst and relation must be strings, got {src!r}, {dst!r}, {relation!r}")
         if relation not in RELATIONS:
@@ -176,14 +185,7 @@ class GenreGraph:
             raise GraphFormatError(f"edge references missing node {src!r}")
         if dst not in self._nodes:
             raise GraphFormatError(f"edge references missing node {dst!r}")
-        if src == dst:
-            raise GraphFormatError(f"self-loop on node {src!r}")
-        edge = GenreEdge(src, dst, relation)
-        if edge in self._edges:
-            return False
-        self._edges[edge] = None
-        self._cache = self._hop_memo = None
-        return True
+        return GenreEdge(src, dst, relation)
 
     def copy(self) -> "GenreGraph":
         out = GenreGraph(self.word_vocabulary)
@@ -372,59 +374,44 @@ def load_graph(
 ) -> GenreGraph:
     """Build a graph from node and edge JSON-lines streams.
 
-    Node labels are normalized against the lemma-mapped vocabulary of words
-    occurring in the node labels themselves, so concatenated genres split
-    into the graph's own genre words. Dangling edges and unknown relations
-    are rejected with their line number; self-loops and exact duplicate
-    edges are dropped with a warning.
+    A node's tokens are its label's, split on non-alphanumeric runs; node
+    labels are never split into vocabulary words. The graph's word
+    vocabulary, against which tags attached later split, holds every node
+    token and its lemma. A malformed node or edge line, a dangling edge or
+    an unknown relation raises GraphFormatError naming the line. An edge
+    that passes those checks is dropped if it is a self-loop (with a
+    warning) or an exact duplicate.
     """
-    lemma_table = dict(lemma_table or {})
-
-    records: list[tuple[int, str, str, str]] = []
-    seen_ids: set[str] = set()
+    lemma_table = lemma_table or {}
+    graph = GenreGraph()
+    vocabulary: set[str] = set()
     for lineno, record in iter_json_objects(nodes_source, "nodes", GraphFormatError):
         try:
             node_id, lang, label = record["id"], record["lang"], record["label"]
+            tokens = _rough_tokens(label) if isinstance(label, str) else ()  # GenreNode names a non-string label
+            graph.add_node(GenreNode(id=node_id, language=lang, raw_label=label, tokens=tokens))
         except KeyError as exc:
             raise GraphFormatError(f"nodes line {lineno}: missing key {exc.args[0]!r}") from None
-        try:
-            _check_node_fields(node_id, lang, label)
         except GraphFormatError as exc:
             raise GraphFormatError(f"nodes line {lineno}: {exc}") from None
-        if node_id in seen_ids:
-            raise GraphFormatError(f"nodes line {lineno}: duplicate node id {node_id!r}")
-        seen_ids.add(node_id)
-        records.append((lineno, node_id, lang, label))
+        vocabulary.update(tokens)
+        vocabulary.update(lemma for lemma in map(lemma_table.get, tokens) if lemma)
+    graph.word_vocabulary = frozenset(vocabulary)
 
-    vocabulary: set[str] = set()
-    for _, _, _, label in records:
-        for token in _rough_tokens(label):
-            vocabulary.add(token)
-            lemma = lemma_table.get(token)
-            if lemma:
-                vocabulary.add(lemma)
-
-    graph = GenreGraph(vocabulary)
-    for lineno, node_id, lang, label in records:
-        try:
-            tokens = normalize_tag(label, graph.word_vocabulary)
-        except ValueError as exc:
-            raise GraphFormatError(f"nodes line {lineno}: {exc}") from None
-        graph.add_node(GenreNode(id=node_id, language=lang, raw_label=label, tokens=tuple(tokens)))
-
+    edges: dict[GenreEdge, None] = {}
     dropped_loops = 0
     for lineno, record in iter_json_objects(edges_source, "edges", GraphFormatError):
         try:
-            src, dst, rel = record["src"], record["dst"], record["rel"]
+            edge = graph._checked_edge(record["src"], record["dst"], record["rel"])
         except KeyError as exc:
             raise GraphFormatError(f"edges line {lineno}: missing key {exc.args[0]!r}") from None
-        if isinstance(src, str) and src == dst:  # add_edge rejects a non-string endpoint
-            dropped_loops += 1
-            continue
-        try:
-            graph.add_edge(src, dst, rel)
         except GraphFormatError as exc:
             raise GraphFormatError(f"edges line {lineno}: {exc}") from None
+        if edge.src == edge.dst:
+            dropped_loops += 1
+        else:
+            edges[edge] = None
+    graph._edges = edges  # every edge checked above; the graph had none and has cached nothing
     if dropped_loops:
         logger.warning("dropped %d self-loop edges", dropped_loops)
     return graph
@@ -471,8 +458,6 @@ def attach_tag_system(
             continue
         seen.add(raw)
         node_id = tag_node_id(system_name, raw)
-        if out.has_node(node_id):
-            raise GraphFormatError(f"tag node {node_id!r} already present in graph")
         try:
             tokens = tuple(normalize_tag(raw, graph.word_vocabulary))
         except ValueError:

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genrevec import genregraph
@@ -196,6 +196,7 @@ class TestLoadGraph:
         [
             ('["n5", "en", "Rock"]', "nodes line 5: expected a JSON object"),
             ('{"id": "n5", "label": "Rock"}', "nodes line 5: missing key 'lang'"),
+            ('{"id": "n5", "lang": "en\\n", "label": "Rock"}', "nodes line 5: node 'n5': invalid language code 'en\\n'"),
         ],
     )
     def test_malformed_node_record_names_line(self, line, message):
@@ -213,6 +214,18 @@ class TestLoadGraph:
             graph = load_graph(io.StringIO(NODES), io.StringIO(edges))
         assert graph.edge_count == 2
         assert "self-loop" in caplog.text
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ({"src": "n1", "dst": "n1", "rel": "bogus"}, "edges line 3: unknown relation 'bogus'"),
+            ({"src": "zzz", "dst": "zzz", "rel": "sameAs"}, "edges line 3: edge references missing node 'zzz'"),
+        ],
+    )
+    def test_self_loop_line_checked_before_it_is_dropped(self, edge, message):
+        edges = EDGES + json.dumps(edge) + "\n"
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            load_graph(io.StringIO(NODES), io.StringIO(edges))
 
     def test_duplicate_edge_line_deduplicated(self):
         edges = EDGES + '{"src": "n1", "dst": "n2", "rel": "musicSubgenre"}\n'
@@ -255,6 +268,7 @@ class TestLoadGraph:
             ({"nodes": [{**SAVED_NODE, "tokens": "rock"}], "edges": []},  # not the tokens r, o, c, k
              "node 'n1': tokens must be a list of non-empty strings, got 'rock'"),
             ({"vocabulary": ["rock", 1, None], "nodes": [], "edges": []}, "vocabulary[1]: expected a string, got int"),
+            ({"nodes": [{**SAVED_NODE, "lang": "en\n"}], "edges": []}, "node 'n1': invalid language code 'en\\n'"),
         ],
     )
     def test_malformed_saved_graph_names_file_and_problem(self, tmp_path, payload, message):
@@ -335,6 +349,37 @@ class TestLoadGraph:
         assert [entry.name for entry in tmp_path.iterdir()] == ["graph.json"]
 
 
+class TestGenreNode:
+    @pytest.mark.parametrize("language", ["en\n", "\nen", "eng", "EN", ""])
+    def test_language_is_exactly_two_lowercase_letters(self, language):
+        with pytest.raises(GraphFormatError, match=re.escape(f"node 'n1': invalid language code {language!r}")):
+            GenreNode(id="n1", language=language, raw_label="Rock", tokens=("rock",))
+
+
+@st.composite
+def labelled_nodes(draw):
+    """Node labels over a small alphabet, one of them another's words run together, and a lemma table."""
+    word = st.lists(st.sampled_from(["a", "b", "É", "e\u0301"]), min_size=1, max_size=4).map("".join)
+    phrases = draw(st.lists(st.lists(word, min_size=1, max_size=3), min_size=1, max_size=6))
+    labels = [draw(st.sampled_from([" ", "-", "_", " / "])).join(words) for words in phrases]
+    labels.append("".join(draw(st.sampled_from(phrases))))  # as "Hardrock" beside "Hard rock"
+    lemma = st.text(alphabet="abé", min_size=1, max_size=4)
+    return labels, draw(st.dictionaries(lemma, lemma, max_size=4))
+
+
+class TestNodeTokens:
+    @given(labelled_nodes())
+    @example((["Hard rock", "Hardrock"], {"hard": "hard", "rock": "rocks"}))
+    @settings(max_examples=150, deadline=None)
+    def test_tokens_equal_normalizing_against_the_graph_vocabulary(self, case):
+        labels, lemmas = case
+        nodes = "".join(json.dumps({"id": f"n{i}", "lang": "en", "label": label}) + "\n" for i, label in enumerate(labels))
+        graph = load_graph(io.StringIO(nodes), io.StringIO(""), lemmas)
+        for node in graph.nodes.values():
+            # normalizing against the graph vocabulary changes nothing: a node label never splits
+            assert list(node.tokens) == normalize_tag(node.raw_label, graph.word_vocabulary) == normalize_tag(node.raw_label)
+
+
 class TestFilterGraph:
     def test_keeps_components_touching_high_confidence(self):
         graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
@@ -412,6 +457,11 @@ class TestAttachTagSystem:
             attached = attach_tag_system(small_graph(), "sys", ["---"], "en")
         assert attached.node_count == small_graph().node_count
         assert "alphanumeric" in caplog.text
+
+    def test_attaching_a_system_twice_rejected(self):
+        once = attach_tag_system(small_graph(), "sys", ["Jazz"], "en")
+        with pytest.raises(GraphFormatError, match=re.escape("'sys:Jazz'")):
+            attach_tag_system(once, "sys", ["Jazz"], "en")
 
     def test_systems_recorded_on_nodes(self):
         attached = attach_tag_system(small_graph(), "sys", ["Jazz"], "en")
