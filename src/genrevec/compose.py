@@ -33,17 +33,25 @@ class ConceptEmbeddingMatrix:
 
     `known[i]` is True iff at least one constituent word of concept i was
     found in the word-vector vocabulary. Freshly composed matrices hold the
-    zero vector for unknown concepts.
+    zero vector for unknown concepts. Both arrays are read-only after
+    construction, so what is derived from them can be memoized.
     """
 
     concepts: list[str]
     vectors: np.ndarray
     known: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False)
+    # the latest target tuple, its row-normalized rows and each target's lexicographic rank
+    # (see translate._target_block)
+    _target_memo: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         self.known = np.asarray(self.known, dtype=bool)
+        self.vectors.flags.writeable = False
+        self.known.flags.writeable = False
         n = len(self.concepts)
         if self.vectors.ndim != 2 or self.vectors.shape[0] != n:
             raise ValueError(f"vectors shape {self.vectors.shape} does not match {n} concepts")
@@ -68,12 +76,6 @@ class ConceptEmbeddingMatrix:
             return self._index[concept]
         except KeyError:
             raise KeyError(f"unknown concept {concept!r}") from None
-
-    def vector(self, concept: str) -> np.ndarray:
-        return self.vectors[self.index_of(concept)]
-
-    def is_known(self, concept: str) -> bool:
-        return bool(self.known[self.index_of(concept)])
 
     def copy_with(self, vectors: np.ndarray | None = None, known: np.ndarray | None = None) -> "ConceptEmbeddingMatrix":
         return ConceptEmbeddingMatrix(

@@ -4,8 +4,11 @@ Scores are cosine similarities over concept embeddings, aggregated by sum or
 mean across the source set, or shortest-path relatedness over the genre
 graph for the baseline. :func:`score_sets` scores many source sets against
 one target list in one pass, as evaluation does; :func:`translate` is its
-one-set call, with ranking. The scalar :func:`cosine` gives the same
-similarity for one pair of vectors.
+one-set call, with ranking. The row-normalized target rows are memoized on
+the embedding matrix for the latest target list, as ``hop_counts`` memoizes
+hop rows on the graph, so repeated calls with one target list pay only for
+their sources. The scalar :func:`cosine` gives the same similarity for one
+pair of vectors.
 """
 
 from __future__ import annotations
@@ -51,6 +54,35 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
+def _lex_rank(targets: Sequence[str]) -> np.ndarray:
+    """Each target's position in lexicographic order: the ranking's tie-break key."""
+    rank = np.empty(len(targets), dtype=np.intp)
+    rank[sorted(range(len(targets)), key=targets.__getitem__)] = np.arange(len(targets))
+    return rank
+
+
+def _target_block(embeddings: ConceptEmbeddingMatrix, targets: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The row-normalized rows of `targets` and their lexicographic ranks, both read-only.
+
+    Memoized on the matrix for the latest target list; the matrix's vectors
+    are read-only, so the memo cannot go stale. Another list replaces it.
+    """
+    key = tuple(targets)
+    memo = embeddings._target_memo
+    if memo is not None and memo[0] == key:
+        return memo[1], memo[2]
+    try:
+        target_index = [embeddings.index_of(t) for t in targets]
+    except KeyError:
+        missing = next(t for t in targets if t not in embeddings)
+        raise ValueError(f"unresolvable target tag {missing!r}") from None
+    block = _normalize_rows(embeddings.vectors[target_index])
+    lex_rank = _lex_rank(key)
+    block.flags.writeable = lex_rank.flags.writeable = False
+    embeddings._target_memo = key, block, lex_rank
+    return block, lex_rank
+
+
 def score_sets(
     source_sets: Sequence[Iterable[str]],
     targets: Sequence[str],
@@ -66,11 +98,13 @@ def score_sets(
     "baseline"). Each set is scored as its sorted distinct tags, exactly as
     :func:`translate` scores it.
 
-    "sum"/"avg": targets are checked and row-normalized once; each distinct
-    source is normalized once; each distinct tuple of resolved sources is
-    multiplied against the targets once and its cosine rows summed, and
-    divided by its size for "avg"; later sets with the same resolved tuple
-    copy that row. A set with no resolved source scores 0 everywhere.
+    "sum"/"avg": targets are checked and row-normalized once, and that block
+    is memoized on the matrix for the latest target list, so a later call
+    with the same targets reuses it; each distinct source is normalized
+    once; each distinct tuple of resolved sources is multiplied against the
+    targets once and its cosine rows summed, and divided by its size for
+    "avg"; later sets with the same resolved tuple copy that row. A set
+    with no resolved source scores 0 everywhere.
     "baseline" takes one hop row per distinct source from
     :func:`~genrevec.genregraph.hop_counts`, which searches only sources the
     graph has not memoized for these targets, and averages 1/(1 + hops) over
@@ -98,12 +132,7 @@ def score_sets(
 
     if embeddings is None:
         raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-    try:
-        target_index = [embeddings.index_of(t) for t in targets]
-    except KeyError:
-        missing = next(t for t in targets if t not in embeddings)
-        raise ValueError(f"unresolvable target tag {missing!r}") from None
-    target_matrix = _normalize_rows(embeddings.vectors[target_index])
+    target_matrix = _target_block(embeddings, targets)[0]
     resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
     dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
 
@@ -141,7 +170,9 @@ def translate(
     it are dropped (with a warning), and if none remain every target scores
     0. The "baseline" scorer averages shortest-path relatedness over the
     graph instead, and requires every id to be a graph node. Ranking ties
-    break lexicographically.
+    break lexicographically (``-0.0`` ties with ``0.0``), in one
+    ``np.lexsort``; the embedding scorers read each target's lexicographic
+    rank from the matrix's target memo, and "baseline" computes it per call.
     """
     sources = set(source_tags)
     target_list = list(dict.fromkeys(targets))
@@ -150,6 +181,8 @@ def translate(
         logger.warning("dropped %d source tags missing from the embedding vocabulary", dropped[0])
         if dropped[0] == len(sources):
             logger.warning("no source tag resolved; all targets score 0")
-    scores = dict(zip(target_list, matrix[0].tolist()))
-    ranking = sorted(scores, key=lambda tag: (-scores[tag], tag))
+    row = matrix[0]
+    lex_rank = _lex_rank(target_list) if scorer == "baseline" else _target_block(embeddings, target_list)[1]
+    scores = dict(zip(target_list, row.tolist()))
+    ranking = [target_list[i] for i in np.lexsort((lex_rank, -row)).tolist()]
     return TranslationResult(scores=scores, ranking=ranking)

@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 from collections import deque
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -18,7 +18,7 @@ from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
 from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts, tag_node_id
 from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
-from genrevec.translate import cosine
+from genrevec.translate import TranslationResult, cosine
 from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
 
 
@@ -135,6 +135,58 @@ def bfs_components(graph: GenreGraph) -> list[frozenset[str]]:
             seen |= members
             components.append(members)
     return sorted(components, key=min)
+
+
+def vector(matrix: ConceptEmbeddingMatrix, concept: str) -> np.ndarray:
+    """The embedding row of `concept`; KeyError for an id the matrix lacks."""
+    return matrix.vectors[matrix.index_of(concept)]
+
+
+def is_known(matrix: ConceptEmbeddingMatrix, concept: str) -> bool:
+    """Whether `concept` had at least one in-vocabulary word; KeyError for an id the matrix lacks."""
+    return bool(matrix.known[matrix.index_of(concept)])
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
+def oracle_translate_scores(source_tags, target_list, embeddings=None, scorer="avg", graph=None):
+    """Oracle: per-query scoring as a standalone translate() did it, from BFS hops and rebuilt target rows."""
+    sources = sorted(set(source_tags))
+    if scorer == "baseline":
+        totals = np.zeros(len(target_list))
+        for source in sources:
+            hops = bfs_hops(graph, source)
+            totals += np.array([1.0 / (1.0 + hops[t]) if t in hops else 0.0 for t in target_list])
+        return totals / len(sources)
+    target_matrix = _unit_rows(np.vstack([vector(embeddings, t) for t in target_list]))
+    resolved = [s for s in sources if s in embeddings]
+    if not resolved:
+        return np.zeros(len(target_list))
+    source_matrix = _unit_rows(np.vstack([vector(embeddings, s) for s in resolved]))
+    values = (source_matrix @ target_matrix.T).sum(axis=0)
+    return values / len(resolved) if scorer == "avg" else values
+
+
+def oracle_translate(
+    source_tags: Iterable[str],
+    targets: Iterable[str],
+    embeddings: ConceptEmbeddingMatrix | None = None,
+    scorer: str = "avg",
+    graph: GenreGraph | None = None,
+) -> TranslationResult:
+    """Oracle: `translate` before its target rows were memoized, frozen.
+
+    The scores of :func:`oracle_translate_scores`, which rebuilds the target
+    rows on every call, ranked by a Python sort on (-score, tag).
+    """
+    target_list = list(dict.fromkeys(targets))
+    row = oracle_translate_scores(source_tags, target_list, embeddings, scorer, graph)
+    scores = dict(zip(target_list, row.tolist()))
+    ranking = sorted(scores, key=lambda tag: (-scores[tag], tag))
+    return TranslationResult(scores=scores, ranking=ranking)
 
 
 def shortest_path_similarity(graph: GenreGraph, a: str, b: str) -> float:

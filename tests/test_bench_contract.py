@@ -3,11 +3,16 @@
 ``parity.check`` runs the CLI stages and the harness's own pipeline on a
 smoke-size dataset and compares their reports, so a public name the harness
 imports (``objective``, ``load_vectors(path)``, ``graph.degree``, ...) cannot
-disappear without this test failing.
+disappear without this test failing. The serve-phase test sends the smoke
+dataset's queries through the harness and its per-query checks, so a wrong
+score or ranking fails here rather than only in a benchmark run.
 """
 
 import importlib
+import json
 from pathlib import Path
+
+from genrevec.cli import PipelineConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,3 +23,32 @@ def test_parity_check_passes_at_smoke_size(tmp_path, monkeypatch):
     outcome = parity.check(1, tmp_path / "parity")
     assert outcome["failures"] == []
     assert outcome["attempted"] == 5
+
+
+def test_served_queries_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, pipeline, checks = (importlib.import_module(name) for name in ("gen", "pipeline", "checks"))
+    gen.generate(tmp_path, gen.WORKLOADS["smoke"], 1)
+    config = PipelineConfig.from_file(tmp_path / "config.json")
+    tracer = pipeline.Tracer(enabled=False)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    pipeline.run_pipeline(config, pipeline.load_inputs(config, tracer), workdir, tracer)
+    graph, embeddings, targets = pipeline.load_served(workdir, config.target_system, tracer)
+    scores, hops = checks.ScoreReference(embeddings, targets), checks.HopReference(graph)
+    with open(tmp_path / "queries.jsonl", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    queries = []
+    for record in records:  # prepared as perfbench/run.py does: baseline sources must be graph nodes
+        sources = record["sources"]
+        if record["scorer"] == "baseline":
+            sources = [s for s in sources if graph.has_node(s)]
+        if sources:
+            queries.append((sources, record["scorer"]))
+    assert len(queries) == len(records) and {scorer for _, scorer in queries} == {"avg", "sum", "baseline"}
+    problems = []
+    for _ in range(2):  # the second pass reads the target and hop memos the first one left
+        for sources, scorer in queries:
+            result = pipeline.query(sources, targets, scorer, graph, embeddings, tracer)
+            problems += checks.check_translation(result, sources, targets, scorer, scores, hops)
+    assert problems == []

@@ -25,29 +25,29 @@ from genrevec.compose import (
 )
 from genrevec.wordvec import VectorFormatError, VectorSpace, estimate_frequency
 
-from helpers import fixture_store, make_store, one_language
+from helpers import fixture_store, is_known, make_store, one_language, vector
 
 
 class TestComposeAvg:
     def test_single_word_identity(self):
         matrix = compose_avg(*one_language({"c": ["rock"]}, fixture_store()))
-        np.testing.assert_array_equal(matrix.vector("c"), [1.0, 0.0, 0.0])
-        assert matrix.is_known("c")
+        np.testing.assert_array_equal(vector(matrix, "c"), [1.0, 0.0, 0.0])
+        assert is_known(matrix, "c")
 
     def test_two_word_mean(self):
         matrix = compose_avg(*one_language({"c": ["dance", "pop"]}, fixture_store()))
-        np.testing.assert_allclose(matrix.vector("c"), [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(vector(matrix, "c"), [0.5, 0.5, 0.0])
 
     def test_all_oov_concept_is_zero_and_unknown(self):
         matrix = compose_avg(*one_language({"c": ["chillstep"]}, fixture_store()))
-        np.testing.assert_array_equal(matrix.vector("c"), [0.0, 0.0, 0.0])
-        assert not matrix.is_known("c")
+        np.testing.assert_array_equal(vector(matrix, "c"), [0.0, 0.0, 0.0])
+        assert not is_known(matrix, "c")
 
     def test_oov_token_counts_in_denominator(self):
         # one hit + one miss: mean over 2 tokens, not over 1
         matrix = compose_avg(*one_language({"c": ["rock", "chillstep"]}, fixture_store()))
-        np.testing.assert_allclose(matrix.vector("c"), [0.5, 0.0, 0.0])
-        assert matrix.is_known("c")
+        np.testing.assert_allclose(vector(matrix, "c"), [0.5, 0.0, 0.0])
+        assert is_known(matrix, "c")
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(ValueError, match="empty token list"):
@@ -56,22 +56,22 @@ class TestComposeAvg:
     def test_identical_vectors_average_to_themselves(self):
         store = make_store([("a", [0.25, -0.5]), ("b", [0.25, -0.5]), ("c", [0.25, -0.5])])
         matrix = compose_avg(*one_language({"x": ["a", "b", "c"]}, store))
-        np.testing.assert_array_equal(matrix.vector("x"), [0.25, -0.5])
+        np.testing.assert_array_equal(vector(matrix, "x"), [0.25, -0.5])
 
     @given(st.permutations(["rock", "pop", "dance", "jazz"]))
     @settings(max_examples=24, deadline=None)
     def test_token_order_invariance(self, tokens):
         reference = compose_avg(*one_language({"c": ["rock", "pop", "dance", "jazz"]}, fixture_store()))
         shuffled = compose_avg(*one_language({"c": list(tokens)}, fixture_store()))
-        np.testing.assert_allclose(shuffled.vector("c"), reference.vector("c"), atol=1e-15)
+        np.testing.assert_allclose(vector(shuffled, "c"), vector(reference, "c"), atol=1e-15)
 
     def test_multilingual_space_routes_by_language(self):
         en = make_store([("rock", [1.0, 0.0])])
         fr = make_store([("rock", [0.0, 1.0])])
         space = VectorSpace({"en": en, "fr": fr})
         matrix = compose_avg({"a": ["rock"], "b": ["rock"]}, space, {"a": "en", "b": "fr"})
-        np.testing.assert_array_equal(matrix.vector("a"), [1.0, 0.0])
-        np.testing.assert_array_equal(matrix.vector("b"), [0.0, 1.0])
+        np.testing.assert_array_equal(vector(matrix, "a"), [1.0, 0.0])
+        np.testing.assert_array_equal(vector(matrix, "b"), [0.0, 1.0])
 
 
 class TestSifWeights:
@@ -237,8 +237,8 @@ class TestComposeSif:
 
     def test_unknown_rows_stay_zero(self):
         matrix = compose_sif(*one_language({"a": ["rock"], "b": ["pop"], "c": ["zzz"]}, fixture_store()))
-        np.testing.assert_array_equal(matrix.vector("c"), [0.0, 0.0, 0.0])
-        assert not matrix.is_known("c")
+        np.testing.assert_array_equal(vector(matrix, "c"), [0.0, 0.0, 0.0])
+        assert not is_known(matrix, "c")
 
     def test_fewer_than_two_known_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -34,8 +34,8 @@ from genrevec.translate import translate
 
 from helpers import (
     bare_graph,
-    bfs_hops,
     multisystem_corpus,
+    oracle_translate_scores,
     paired_corpus,
     per_source_hop_counts,
     rankdata_fold_aucs,
@@ -508,29 +508,6 @@ class TestEvaluate:
         corpus = synthetic_corpus(40, seed=3)
         with pytest.raises(ValueError, match="scorer must be one of"):
             evaluate(corpus, self.folds_for(corpus), "tgt", ["src"], scorer=lambda item, tag: 0.5)
-
-
-def _normalize_rows(matrix):
-    norms = np.linalg.norm(matrix, axis=1)
-    return matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
-
-
-def oracle_translate_scores(source_tags, target_list, embeddings=None, scorer="avg", graph=None):
-    """Per-query scoring as a standalone translate() did it, one target row at a time."""
-    sources = sorted(set(source_tags))
-    if scorer == "baseline":
-        totals = np.zeros(len(target_list))
-        for source in sources:
-            hops = bfs_hops(graph, source)
-            totals += np.array([1.0 / (1.0 + hops[t]) if t in hops else 0.0 for t in target_list])
-        return totals / len(sources)
-    target_matrix = _normalize_rows(np.vstack([embeddings.vector(t) for t in target_list]))
-    resolved = [s for s in sources if s in embeddings]
-    if not resolved:
-        return np.zeros(len(target_list))
-    source_matrix = _normalize_rows(np.vstack([embeddings.vector(s) for s in resolved]))
-    values = (source_matrix @ target_matrix.T).sum(axis=0)
-    return values / len(resolved) if scorer == "avg" else values
 
 
 def oracle_evaluate(corpus, folds, target_system, source_systems, scorer, embeddings=None, graph=None):

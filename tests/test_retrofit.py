@@ -20,9 +20,11 @@ from helpers import (
     allocating_retrofit,
     bare_graph,
     dict_weights,
+    is_known,
     random_instance,
     undirected_relations,
     update_step,
+    vector,
 )
 
 
@@ -142,13 +144,13 @@ class TestUpdateStep:
             ["U", "K"], np.array([[0.0, 0.0], [0.7, -0.2]]), np.array([False, True])
         )
         updated, _ = update_step(matrix, matrix, graph, RetrofitConfig())
-        np.testing.assert_array_equal(updated.vector("U"), matrix.vector("K"))
+        np.testing.assert_array_equal(vector(updated, "U"), vector(matrix, "K"))
 
     def test_known_node_with_equivalence_neighbor(self):
         graph, matrix = pair_instance()
         updated, delta = update_step(matrix, matrix, graph, RetrofitConfig(scheme="typed"))
-        expected = (2.0 * matrix.vector("B") + matrix.vector("A")) / 3.0
-        np.testing.assert_allclose(updated.vector("A"), expected)
+        expected = (2.0 * vector(matrix, "B") + vector(matrix, "A")) / 3.0
+        np.testing.assert_allclose(vector(updated, "A"), expected)
         assert delta > 0
 
     def test_edgeless_known_node_returns_anchor(self):
@@ -156,7 +158,7 @@ class TestUpdateStep:
         matrix = ConceptEmbeddingMatrix(["A"], np.array([[0.4, 0.6]]), np.array([True]))
         moved = matrix.copy_with(vectors=np.array([[9.0, 9.0]]))
         updated, delta = update_step(moved, matrix, graph, RetrofitConfig())
-        np.testing.assert_array_equal(updated.vector("A"), [0.4, 0.6])
+        np.testing.assert_array_equal(vector(updated, "A"), [0.4, 0.6])
 
     def test_isolated_unknown_node_rejected(self):
         graph = bare_graph(["A", "B"], [])
@@ -168,16 +170,16 @@ class TestUpdateStep:
         # both nodes must read the OLD value of the other
         graph, matrix = pair_instance()
         updated, _ = update_step(matrix, matrix, graph, RetrofitConfig(scheme="typed"))
-        np.testing.assert_allclose(updated.vector("A"), [1 / 3, 2 / 3])
-        np.testing.assert_allclose(updated.vector("B"), [2 / 3, 1 / 3])
+        np.testing.assert_allclose(vector(updated, "A"), [1 / 3, 2 / 3])
+        np.testing.assert_allclose(vector(updated, "B"), [2 / 3, 1 / 3])
 
 
 class TestRetrofit:
     def test_two_node_equivalence_fixed_point(self):
         graph, matrix = pair_instance()
         result = retrofit(matrix, graph, RetrofitConfig(scheme="typed", tolerance=1e-9))
-        np.testing.assert_allclose(result.matrix.vector("A"), [0.6, 0.4], atol=1e-6)
-        np.testing.assert_allclose(result.matrix.vector("B"), [0.4, 0.6], atol=1e-6)
+        np.testing.assert_allclose(vector(result.matrix, "A"), [0.6, 0.4], atol=1e-6)
+        np.testing.assert_allclose(vector(result.matrix, "B"), [0.4, 0.6], atol=1e-6)
         assert result.final_delta <= 1e-9
         assert result.converged is True
 
@@ -194,9 +196,9 @@ class TestRetrofit:
             ["U", "K"], np.array([[0.0, 0.0], [0.3, 0.9]]), np.array([False, True])
         )
         result = retrofit(matrix, graph, RetrofitConfig(tolerance=1e-10))
-        np.testing.assert_allclose(result.matrix.vector("U"), result.matrix.vector("K"), atol=1e-9)
-        np.testing.assert_allclose(result.matrix.vector("K"), [0.3, 0.9], atol=1e-9)
-        assert result.matrix.is_known("U")  # became usable
+        np.testing.assert_allclose(vector(result.matrix, "U"), vector(result.matrix, "K"), atol=1e-9)
+        np.testing.assert_allclose(vector(result.matrix, "K"), [0.3, 0.9], atol=1e-9)
+        assert is_known(result.matrix, "U")  # became usable
 
     def test_isolated_unknown_node_pinned_not_fatal(self, caplog):
         graph = bare_graph(["A", "B"], [])
@@ -204,8 +206,8 @@ class TestRetrofit:
         with caplog.at_level("WARNING"):
             result = retrofit(matrix, graph, RetrofitConfig())
         assert result.pinned == ("B",)
-        np.testing.assert_array_equal(result.matrix.vector("B"), [0.0])
-        assert not result.matrix.is_known("B")
+        np.testing.assert_array_equal(vector(result.matrix, "B"), [0.0])
+        assert not is_known(result.matrix, "B")
 
     def test_convergence_within_cap_on_suite_graphs(self):
         # the suite's standard instances: n <= 50 with 20% unanchored nodes
@@ -261,8 +263,8 @@ class TestRetrofit:
 
         def center_cosine(scheme):
             result = retrofit(matrix, graph, RetrofitConfig(scheme=scheme, tolerance=1e-10))
-            c = result.matrix.vector("center")
-            e = result.matrix.vector("equiv")
+            c = vector(result.matrix, "center")
+            e = vector(result.matrix, "equiv")
             return float(np.dot(c, e) / (np.linalg.norm(c) * np.linalg.norm(e)))
 
         assert center_cosine("typed") > center_cosine("uniform")
@@ -419,8 +421,8 @@ class TestSolveDirect:
     def test_matches_hand_solved_pair(self):
         graph, matrix = pair_instance()
         solution = solve_direct(matrix, graph, RetrofitConfig(scheme="typed"))
-        np.testing.assert_allclose(solution.vector("A"), [0.6, 0.4], atol=1e-12)
-        np.testing.assert_allclose(solution.vector("B"), [0.4, 0.6], atol=1e-12)
+        np.testing.assert_allclose(vector(solution, "A"), [0.6, 0.4], atol=1e-12)
+        np.testing.assert_allclose(vector(solution, "B"), [0.4, 0.6], atol=1e-12)
 
     def test_edgeless_graph_returns_anchors(self):
         graph = bare_graph(["A", "B"], [])

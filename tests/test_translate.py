@@ -1,15 +1,19 @@
 """Tests for cosine scoring, aggregation, and target ranking."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genrevec.compose import ConceptEmbeddingMatrix
+from genrevec.genregraph import RELATIONS
 from genrevec.retrofit import RetrofitConfig, retrofit
 from genrevec.translate import cosine, score_sets, translate
 
-from helpers import bare_graph, score_avg, score_sum, shortest_path_similarity
+from helpers import bare_graph, oracle_translate, score_avg, score_sum, shortest_path_similarity, vector
 
 
 class TestCosine:
@@ -173,7 +177,7 @@ class TestTranslate:
         result = translate(["c0", "c1"], ["c2", "c3"], embeddings=embeddings, scorer="avg")
         for tag in ("c2", "c3"):
             expected = score_avg(
-                [embeddings.vector("c0"), embeddings.vector("c1")], embeddings.vector(tag)
+                [vector(embeddings, "c0"), vector(embeddings, "c1")], vector(embeddings, tag)
             )
             assert result.scores[tag] == pytest.approx(expected, abs=1e-12)
 
@@ -217,3 +221,93 @@ class TestBaselineScorer:
             score_sets([{"z", "a"}, {"y"}], ["x"], scorer="baseline", graph=self.chain())
         with pytest.raises(ValueError, match="unknown node id 'x'"):
             score_sets([{"c", "a"}, {"b"}], ["x"], scorer="baseline", graph=self.chain())
+
+
+@st.composite
+def translation_cases(draw):
+    """A matrix of quantized vectors (the first concept the zero vector), a graph over its
+    concepts, target lists A and B (repeats allowed), and source sets."""
+    names = draw(st.lists(st.text(alphabet="abAB", min_size=1, max_size=3), min_size=3, max_size=10, unique=True))
+    dim = draw(st.integers(1, 3))
+    component = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    rows = draw(st.lists(st.lists(component, min_size=dim, max_size=dim), min_size=len(names) - 1, max_size=len(names) - 1))
+    vectors = np.array([[0.0] * dim] + rows)
+    embeddings = ConceptEmbeddingMatrix(names, vectors, np.any(vectors != 0.0, axis=1))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names), st.sampled_from(sorted(RELATIONS))), max_size=12))
+    edges = list(dict.fromkeys((a, b, rel) for a, b, rel in pairs if a != b))
+    graph = bare_graph(names, edges)
+    tag = st.sampled_from(names)
+    target_lists = draw(st.lists(st.lists(tag, min_size=1, max_size=8), min_size=2, max_size=2))
+    source_sets = draw(st.lists(st.lists(st.one_of(tag, st.just(names[0])), min_size=1, max_size=5), min_size=1, max_size=3))
+    return embeddings, graph, target_lists, source_sets
+
+
+def assert_same_translation(result, expected):
+    assert list(result.scores) == list(expected.scores)
+    assert [np.float64(v).tobytes() for v in result.scores.values()] == [
+        np.float64(v).tobytes() for v in expected.scores.values()
+    ]
+    assert result.ranking == expected.ranking
+
+
+class TestMemoizedTranslate:
+    @given(translation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_unmemoized_translate(self, case):
+        embeddings, graph, (a, b), source_sets = case
+        for targets in (a, b, a):  # the memo is built, hit, replaced and rebuilt
+            for sources in source_sets:
+                for scorer in ("sum", "avg", "baseline"):
+                    kwargs = {"graph": graph} if scorer == "baseline" else {"embeddings": embeddings}
+                    assert_same_translation(
+                        translate(sources, targets, scorer=scorer, **kwargs),
+                        oracle_translate(sources, targets, scorer=scorer, **kwargs),
+                    )
+
+
+class TestTargetMemo:
+    def counted(self, monkeypatch, embeddings) -> Counter:
+        lookups = Counter()
+        index_of = embeddings.index_of
+
+        def counting(concept):
+            lookups[concept] += 1
+            return index_of(concept)
+
+        monkeypatch.setattr(embeddings, "index_of", counting)
+        return lookups
+
+    def embeddings(self):
+        rng = np.random.default_rng(5)
+        return matrix_of([(f"c{i}", rng.normal(size=4)) for i in range(8)])
+
+    def test_one_target_list_builds_its_block_once(self, monkeypatch):
+        embeddings = self.embeddings()
+        lookups = self.counted(monkeypatch, embeddings)
+        first = translate(["c0"], ["c4", "c5", "c6"], embeddings=embeddings)
+        for _ in range(49):
+            assert_same_translation(translate(["c0"], ["c4", "c5", "c6"], embeddings=embeddings), first)
+        assert lookups == {"c0": 50, "c4": 1, "c5": 1, "c6": 1}
+
+    def test_a_new_target_list_rebuilds_the_block(self, monkeypatch):
+        embeddings = self.embeddings()
+        lookups = self.counted(monkeypatch, embeddings)
+        translate(["c0"], ["c4", "c5"], embeddings=embeddings)
+        block = embeddings._target_memo[1]
+        translate(["c0"], ["c5", "c4"], embeddings=embeddings)
+        assert embeddings._target_memo[1] is not block
+        assert lookups == {"c0": 2, "c4": 2, "c5": 2}
+
+    def test_unresolvable_target_rejected_after_a_memo_hit(self):
+        embeddings = self.embeddings()
+        for _ in range(2):
+            translate(["c0"], ["c4", "c5"], embeddings=embeddings)
+        with pytest.raises(ValueError, match="^unresolvable target tag 'nowhere'$"):
+            translate(["c0"], ["c4", "nowhere"], embeddings=embeddings)
+
+    def test_matrix_arrays_are_read_only(self):
+        embeddings = self.embeddings()
+        with pytest.raises(ValueError, match="read-only"):
+            embeddings.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            embeddings.known[0] = False
