@@ -41,11 +41,9 @@ class ConceptEmbeddingMatrix:
     vectors: np.ndarray
     known: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False)
-    # the latest target tuple, its row-normalized rows and each target's lexicographic rank
-    # (see translate._target_block)
-    _target_memo: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # translate.TargetBlock of the latest target list: the targets, their row-normalized rows
+    # and ranking keys (see translate._target_block)
+    _target_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)

@@ -132,6 +132,34 @@ class GenreEdge(NamedTuple):
     relation: str
 
 
+class HopMemo(NamedTuple):
+    """What a graph keeps for the target list of the latest :func:`hop_counts` call.
+
+    Built when a call brings another target list, so the targets are
+    resolved and sorted once per list; the arrays are read-only.
+    """
+
+    targets: tuple[str, ...]
+    rows: dict[int, np.ndarray]  # source position -> its hop row to the targets
+    positions: np.ndarray  # the targets' positions
+    lex_rank: np.ndarray  # each target's position in lexicographic order
+    names: np.ndarray  # the targets as an object array
+
+
+def lexicographic_keys(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's position in lexicographic order, and the ids as an object array; both read-only.
+
+    A translation ranks by score, ties broken by the first array, and
+    gathers its ranking from the second.
+    """
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    names = np.empty(len(ids), dtype=object)
+    names[:] = ids
+    rank.flags.writeable = names.flags.writeable = False
+    return rank, names
+
+
 class GenreGraph:
     """Typed genre graph: directed edge storage over an undirected adjacency.
 
@@ -140,11 +168,12 @@ class GenreGraph:
     first read of the structure caches a table of (src position, dst
     position, relation code) rows and, built from it, one symmetric 0/1
     sparse adjacency, which components and paths read. :func:`hop_counts`
-    memoizes the hop rows it searched for one target list. Every change to
-    the graph drops the table, the adjacency and the memo; a copy starts
-    without them. The word vocabulary (the node labels' words and their
-    lemmas, see :func:`load_graph`) is kept so that attached tags split
-    against it.
+    keeps a :class:`HopMemo` for the latest target list: the targets'
+    positions and ranking keys and the hop rows it searched. Every change
+    to the graph (``add_node``, ``add_edge``) drops the table, the
+    adjacency and the memo; a copy starts without them. The word
+    vocabulary (the node labels' words and their lemmas, see
+    :func:`load_graph`) is kept so that attached tags split against it.
     """
 
     def __init__(self, word_vocabulary: Iterable[str] = ()):
@@ -152,8 +181,7 @@ class GenreGraph:
         self._edges: dict[GenreEdge, None] = {}
         # node ids in insertion order, id -> position, the read-only edge table, and the adjacency
         self._cache: tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix] | None = None
-        # target positions, and source position -> its hop row to them (see hop_counts)
-        self._hop_memo: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
+        self._hop_memo: HopMemo | None = None
         self.word_vocabulary = frozenset(word_vocabulary)
 
     # -- construction -----------------------------------------------------
@@ -251,10 +279,6 @@ class GenreGraph:
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
-
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        ids, _, _, matrix = self._structure()
-        return tuple(sorted(ids[j] for j in matrix[self._positions([node_id], KeyError)[0]].indices))
 
     def degree(self, node_id: str) -> int:
         indptr = self._structure()[3].indptr
@@ -475,28 +499,41 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
     """Shortest undirected path lengths, shape (sources, targets); inf where unreachable.
 
     Raises ValueError naming the first unknown id, sources before targets.
-    The graph memoizes the hop row of every source searched for the target
-    list of the latest call: a source seen before is not searched again
-    until the graph changes, and a call with another target list starts a
-    new memo, so it holds at most (distinct sources) x (targets) floats.
-    Sources missing from it are searched :data:`HOP_CHUNK` to a call.
+    See :func:`hop_memo` for what the graph keeps between calls.
+    """
+    source_positions, memo = hop_memo(graph, sources, tuple(targets))
+    hops = np.empty((len(source_positions), len(memo.targets)))
+    for row, i in enumerate(source_positions):
+        hops[row] = memo.rows[i]
+    return hops
+
+
+def hop_memo(graph: GenreGraph, sources: Iterable[str], targets: tuple[str, ...]) -> tuple[list[int], HopMemo]:
+    """The sources' positions, and the graph's memo for `targets` holding each source's hop row.
+
+    Raises ValueError naming the first unknown id, sources before targets.
+    The memo is keyed by the target ids, not by the caller's list, so a list
+    changed in place is not served stale: a call with the same ids reuses
+    it and resolves only its sources, and a call with other ids replaces
+    it, so it holds at most (distinct sources) x (targets) floats. A source
+    already in it is not searched again; the rest are searched
+    :data:`HOP_CHUNK` to a call, and the memo is swapped for one with their
+    rows only once every row is in. ``add_node`` and ``add_edge`` drop it.
     """
     source_positions = graph._positions(sources).tolist()
-    target_positions = graph._positions(targets)
     memo = graph._hop_memo
-    rows = memo[1] if memo is not None and np.array_equal(memo[0], target_positions) else {}
-    missing = [i for i in dict.fromkeys(source_positions) if i not in rows]
+    if memo is None or memo.targets != targets:
+        memo = HopMemo(targets, {}, graph._positions(targets), *lexicographic_keys(targets))
+    missing = [i for i in dict.fromkeys(source_positions) if i not in memo.rows]
     if missing:
         matrix = graph._structure()[3]
-        rows = dict(rows)
+        rows = dict(memo.rows)
         for start in range(0, len(missing), HOP_CHUNK):
             chunk = missing[start:start + HOP_CHUNK]
-            rows.update(zip(chunk, csgraph.shortest_path(matrix, unweighted=True, indices=chunk)[:, target_positions]))
-        graph._hop_memo = target_positions, rows
-    hops = np.empty((len(source_positions), len(target_positions)))
-    for row, i in enumerate(source_positions):
-        hops[row] = rows[i]
-    return hops
+            rows.update(zip(chunk, csgraph.shortest_path(matrix, unweighted=True, indices=chunk)[:, memo.positions]))
+        memo = memo._replace(rows=rows)
+    graph._hop_memo = memo
+    return source_positions, memo
 
 
 def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:

@@ -4,11 +4,14 @@ Scores are cosine similarities over concept embeddings, aggregated by sum or
 mean across the source set, or shortest-path relatedness over the genre
 graph for the baseline. :func:`score_sets` scores many source sets against
 one target list in one pass, as evaluation does; :func:`translate` is its
-one-set call, with ranking. The row-normalized target rows are memoized on
-the embedding matrix for the latest target list, as ``hop_counts`` memoizes
-hop rows on the graph, so repeated calls with one target list pay only for
-their sources. The scalar :func:`cosine` gives the same similarity for one
-pair of vectors.
+one-set call, with ranking. What depends only on the target list is built
+once per distinct list and kept in the memo its scorer owns: for "sum"/"avg"
+the matrix's :class:`TargetBlock` (the row-normalized target rows), for
+"baseline" the graph's :class:`~genrevec.genregraph.HopMemo` (the target
+positions and the hop rows searched so far); both also hold the targets'
+lexicographic ranks and the targets as an object array, which a ranking
+reads. So a repeated target list costs a call only its sources. The scalar
+:func:`cosine` gives the same similarity for one pair of vectors.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import GenreGraph, hop_counts
+from .genregraph import GenreGraph, HopMemo, hop_memo, lexicographic_keys
 
 logger = logging.getLogger(__name__)
 
@@ -54,33 +57,33 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
-def _lex_rank(targets: Sequence[str]) -> np.ndarray:
-    """Each target's position in lexicographic order: the ranking's tie-break key."""
-    rank = np.empty(len(targets), dtype=np.intp)
-    rank[sorted(range(len(targets)), key=targets.__getitem__)] = np.arange(len(targets))
-    return rank
+class TargetBlock(NamedTuple):
+    """What an embedding matrix keeps for the target list of the latest call (see :func:`_target_block`)."""
+
+    targets: tuple[str, ...]
+    block: np.ndarray  # the targets' row-normalized rows
+    lex_rank: np.ndarray  # each target's position in lexicographic order
+    names: np.ndarray  # the targets as an object array
 
 
-def _target_block(embeddings: ConceptEmbeddingMatrix, targets: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The row-normalized rows of `targets` and their lexicographic ranks, both read-only.
+def _target_block(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -> TargetBlock:
+    """The matrix's memo for `targets`: their row-normalized rows and ranking keys, all read-only.
 
-    Memoized on the matrix for the latest target list; the matrix's vectors
-    are read-only, so the memo cannot go stale. Another list replaces it.
+    Keyed by the target ids; the matrix's vectors are read-only, so the memo
+    cannot go stale. Another list replaces it.
     """
-    key = tuple(targets)
     memo = embeddings._target_memo
-    if memo is not None and memo[0] == key:
-        return memo[1], memo[2]
+    if memo is not None and memo.targets == targets:
+        return memo
     try:
         target_index = [embeddings.index_of(t) for t in targets]
     except KeyError:
         missing = next(t for t in targets if t not in embeddings)
         raise ValueError(f"unresolvable target tag {missing!r}") from None
     block = _normalize_rows(embeddings.vectors[target_index])
-    lex_rank = _lex_rank(key)
-    block.flags.writeable = lex_rank.flags.writeable = False
-    embeddings._target_memo = key, block, lex_rank
-    return block, lex_rank
+    block.flags.writeable = False
+    memo = embeddings._target_memo = TargetBlock(targets, block, *lexicographic_keys(targets))
+    return memo
 
 
 def score_sets(
@@ -105,11 +108,23 @@ def score_sets(
     targets once and its cosine rows summed, and divided by its size for
     "avg"; later sets with the same resolved tuple copy that row. A set
     with no resolved source scores 0 everywhere.
-    "baseline" takes one hop row per distinct source from
-    :func:`~genrevec.genregraph.hop_counts`, which searches only sources the
-    graph has not memoized for these targets, and averages 1/(1 + hops) over
-    the set, requiring every id to be a graph node.
+    "baseline" takes one hop row per distinct source from the graph's memo
+    (:func:`~genrevec.genregraph.hop_memo`, which searches only sources it
+    does not hold yet) and averages 1/(1 + hops) over the set, requiring
+    every id to be a graph node.
     """
+    scores, dropped, _ = _score(source_sets, tuple(targets), embeddings, scorer, graph)
+    return scores, dropped
+
+
+def _score(
+    source_sets: Sequence[Iterable[str]],
+    targets: tuple[str, ...],
+    embeddings: ConceptEmbeddingMatrix | None,
+    scorer: str,
+    graph: GenreGraph | None,
+) -> tuple[np.ndarray, np.ndarray, TargetBlock | HopMemo | None]:
+    """:func:`score_sets`, plus the scorer's memo for `targets` (None when there is no set)."""
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
     rows = [sorted(set(tags)) for tags in source_sets]
@@ -118,21 +133,23 @@ def score_sets(
     scores = np.zeros((len(rows), len(targets)))
     dropped = np.zeros(len(rows), dtype=np.int64)
     if not rows:
-        return scores, dropped
+        return scores, dropped, None
 
     if scorer == "baseline":
         if graph is None:
             raise ValueError("the baseline scorer requires the genre graph")
         # first-seen order, so an unknown id is reported as in the rows
         distinct = list(dict.fromkeys(chain(*rows)))
-        relatedness = dict(zip(distinct, 1.0 / (1.0 + hop_counts(graph, distinct, targets))))
+        positions, memo = hop_memo(graph, distinct, targets)
+        hops = np.array([memo.rows[i] for i in positions])
+        relatedness = dict(zip(distinct, 1.0 / (1.0 + hops)))
         for i, row in enumerate(rows):
             scores[i] = sum(relatedness[source] for source in row) / len(row)
-        return scores, dropped
+        return scores, dropped, memo
 
     if embeddings is None:
         raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-    target_matrix = _target_block(embeddings, targets)[0]
+    memo = _target_block(embeddings, targets)
     resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
     dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
 
@@ -151,9 +168,9 @@ def score_sets(
         if first != i:
             scores[i] = scores[first]
         else:
-            values = (source_matrix[[position[s] for s in resolved]] @ target_matrix.T).sum(axis=0)
+            values = (source_matrix[[position[s] for s in resolved]] @ memo.block.T).sum(axis=0)
             scores[i] = values / len(resolved) if scorer == "avg" else values
-    return scores, dropped
+    return scores, dropped, memo
 
 
 def translate(
@@ -170,19 +187,20 @@ def translate(
     it are dropped (with a warning), and if none remain every target scores
     0. The "baseline" scorer averages shortest-path relatedness over the
     graph instead, and requires every id to be a graph node. Ranking ties
-    break lexicographically (``-0.0`` ties with ``0.0``), in one
-    ``np.lexsort``; the embedding scorers read each target's lexicographic
-    rank from the matrix's target memo, and "baseline" computes it per call.
+    break lexicographically (``-0.0`` ties with ``0.0``): one ``np.lexsort``
+    on the targets' lexicographic ranks and the negated scores, then one
+    gather from the targets' object array. Both arrays come from the
+    scorer's memo, which the call reads once, keyed by the target ids: the
+    matrix's for "sum"/"avg", the graph's for "baseline".
     """
     sources = set(source_tags)
-    target_list = list(dict.fromkeys(targets))
-    matrix, dropped = score_sets([sources], target_list, embeddings=embeddings, scorer=scorer, graph=graph)
+    target_ids = tuple(dict.fromkeys(targets))
+    matrix, dropped, memo = _score([sources], target_ids, embeddings, scorer, graph)
     if dropped[0]:
         logger.warning("dropped %d source tags missing from the embedding vocabulary", dropped[0])
         if dropped[0] == len(sources):
             logger.warning("no source tag resolved; all targets score 0")
     row = matrix[0]
-    lex_rank = _lex_rank(target_list) if scorer == "baseline" else _target_block(embeddings, target_list)[1]
-    scores = dict(zip(target_list, row.tolist()))
-    ranking = [target_list[i] for i in np.lexsort((lex_rank, -row)).tolist()]
+    scores = dict(zip(target_ids, row.tolist()))
+    ranking = memo.names[np.lexsort((memo.lex_rank, -row))].tolist()
     return TranslationResult(scores=scores, ranking=ranking)

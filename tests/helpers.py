@@ -16,7 +16,7 @@ from scipy.stats import rankdata
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
-from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts, tag_node_id
+from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, HopMemo, hop_counts, tag_node_id
 from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
 from genrevec.translate import TranslationResult, cosine
 from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
@@ -98,6 +98,15 @@ def _undirected_neighbors(graph: GenreGraph) -> dict[str, set[str]]:
     return neighbors
 
 
+def neighbors(graph: GenreGraph, node_id: str) -> tuple[str, ...]:
+    """The node's distinct neighbours in either direction, as sorted ids, read from the adjacency.
+
+    KeyError for an unknown id, as ``graph.degree`` raises.
+    """
+    ids, _, _, matrix = graph._structure()
+    return tuple(sorted(ids[j] for j in matrix[graph._positions([node_id], KeyError)[0]].indices))
+
+
 def bfs_hops(graph: GenreGraph, source: str) -> dict[str, int]:
     """Oracle: hop counts from `source` to every reachable node, ignoring direction (Python BFS)."""
     if not graph.has_node(source):
@@ -123,6 +132,18 @@ def per_source_hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Se
     for row, i in enumerate(source_positions):
         hops[row] = csgraph.shortest_path(matrix, unweighted=True, indices=i)[target_positions]
     return hops
+
+
+def unmemoized_hop_memo(graph: GenreGraph, sources: Iterable[str], targets: tuple[str, ...]) -> tuple[list[int], HopMemo]:
+    """Oracle: `hop_memo` keeping nothing: each call resolves, sorts and searches afresh, one search per source."""
+    sources = list(sources)
+    positions = graph._positions(sources).tolist()
+    rows = dict(zip(positions, per_source_hop_counts(graph, sources, targets)))
+    lex_rank = np.empty(len(targets), dtype=np.intp)
+    lex_rank[sorted(range(len(targets)), key=targets.__getitem__)] = np.arange(len(targets))
+    names = np.empty(len(targets), dtype=object)
+    names[:] = targets
+    return positions, HopMemo(targets, rows, graph._positions(targets), lex_rank, names)
 
 
 def bfs_components(graph: GenreGraph) -> list[frozenset[str]]:

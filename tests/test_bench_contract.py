@@ -5,7 +5,9 @@ smoke-size dataset and compares their reports, so a public name the harness
 imports (``objective``, ``load_vectors(path)``, ``graph.degree``, ...) cannot
 disappear without this test failing. The serve-phase test sends the smoke
 dataset's queries through the harness and its per-query checks, so a wrong
-score or ranking fails here rather than only in a benchmark run.
+score or ranking fails here rather than only in a benchmark run; it also
+checks that ranking ties break lexicographically, which the harness's
+checks do not.
 """
 
 import importlib
@@ -46,9 +48,18 @@ def test_served_queries_pass_the_benchmark_checks(tmp_path, monkeypatch):
         if sources:
             queries.append((sources, record["scorer"]))
     assert len(queries) == len(records) and {scorer for _, scorer in queries} == {"avg", "sum", "baseline"}
-    problems = []
-    for _ in range(2):  # the second pass reads the target and hop memos the first one left
+    # The second pass reads the target and hop memos the first one left. The
+    # system's tags come sorted, so a third pass sends them reversed: ties
+    # broken by list position would then differ from lexicographic ties.
+    reversed_targets = targets[::-1]
+    passes = [(targets, scores), (targets, scores), (reversed_targets, checks.ScoreReference(embeddings, reversed_targets))]
+    problems, misranked = [], []
+    for order, reference in passes:
         for sources, scorer in queries:
-            result = pipeline.query(sources, targets, scorer, graph, embeddings, tracer)
-            problems += checks.check_translation(result, sources, targets, scorer, scores, hops)
+            result = pipeline.query(sources, order, scorer, graph, embeddings, tracer)
+            problems += checks.check_translation(result, sources, order, scorer, reference, hops)
+            # the benchmark checks score order only; ties must also break lexicographically
+            if result.ranking != sorted(order, key=lambda t: (-result.scores[t], t)):
+                misranked.append((scorer, sources))
     assert problems == []
+    assert misranked == []

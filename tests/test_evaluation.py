@@ -37,10 +37,10 @@ from helpers import (
     multisystem_corpus,
     oracle_translate_scores,
     paired_corpus,
-    per_source_hop_counts,
     rankdata_fold_aucs,
     scan_stratified_split,
     synthetic_corpus,
+    unmemoized_hop_memo,
 )
 
 
@@ -647,7 +647,7 @@ class TestBatchScoringOracle:
 
 
 class TestMemoizedBaseline:
-    """Baseline scores through the graph's hop memo equal a fresh per-source search, bit for bit."""
+    """Baseline scores and rankings through the graph's hop memo equal a fresh per-source search, bit for bit."""
 
     def test_demo_data(self, tmp_path, monkeypatch):
         paths = write_demo_dataset(tmp_path)
@@ -669,7 +669,7 @@ class TestMemoizedBaseline:
         memoized = run()
         assert graph._hop_memo is not None
         # the package exports the function translate, which hides the module of that name
-        monkeypatch.setattr(importlib.import_module("genrevec.translate"), "hop_counts", per_source_hop_counts)
+        monkeypatch.setattr(importlib.import_module("genrevec.translate"), "hop_memo", unmemoized_hop_memo)
         assert run() == memoized
 
 

@@ -1,9 +1,13 @@
-"""Golden outputs: ``build-graph`` writes the recorded ``graph.json`` bytes.
+"""Golden outputs: recorded sha256 digests of what the CLI writes.
 
 Two datasets: the demo data (``write_demo_dataset``, seed 7) and perfbench's
-smoke dataset at seed 1. ``graph.json`` holds no floats, so its digest does
-not depend on the BLAS build. A change meant to alter the graph updates the
-digest here and says which one moved and why.
+smoke dataset at seed 1. Recorded are ``graph.json`` from ``build-graph``,
+the stdout of ``translate --scorer baseline`` for two source sets, and
+``report.json`` from ``evaluate --scorer baseline``. None of them depends on
+the BLAS build: ``graph.json`` holds no floats, and the baseline scorer
+reads hop counts, ``1/(1+h)`` and the sort-based fold AUC, no matrix
+product. A change meant to alter one of these outputs updates its digest
+here and says which one moved and why.
 """
 
 import hashlib
@@ -20,6 +24,23 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GRAPH_DIGESTS = {
     "demo": "3c4d7fc96812614cf4e15622790c7f06ea196c75785ff87e35b8ae770a376f1f",
     "smoke": "75c4181530342eeaa89ce1b79b06ca48530eb436d7a1286c23da8410ba7e2a16",
+}
+
+# dataset -> (source tag ids, digest of the baseline `translate` stdout) per source set
+BASELINE_TRANSLATIONS = {
+    "demo": [
+        (["en:Hard_rock"], "2464831817a3066b4f7eb3289f5b0dfc994e345df2438701d1bae9f4ca552d65"),
+        (["en:Rock", "en:Jazz", "en:Sludge_metal"], "3aa5fbbbd2c80e201216d3773d57672cbbf92490c121e4148353fb88975c3654"),
+    ],
+    "smoke": [
+        (["en:lube kabe bobe"], "4e4650502228f59225d18e940b6fce9a5b5e2ae73484e552ba3383a92c412129"),
+        (["en:gebe gube babe", "en:bebe", "en:gebekabebobe", "en:mobe bibe"], "044ae8332734139608896f2fcf6b8095190f062c4ef4b12bc66a79d3c9427bd9"),
+    ],
+}
+
+BASELINE_REPORT_DIGESTS = {
+    "demo": "4478ff59312904953015195860a01b573714494ce8f239442c47e60a64ad6ccd",
+    "smoke": "6a8041926d92e5b4acb0ad28a05045fc9f404b0c831ac98e2502fe17071e5431",
 }
 
 
@@ -39,3 +60,17 @@ def test_build_graph_writes_the_recorded_graph(dataset, tmp_path, monkeypatch):
     assert main(["build-graph", "--config", str(config)]) == 0
     graph_json = Path(PipelineConfig.from_file(config).workdir) / "graph.json"
     assert hashlib.sha256(graph_json.read_bytes()).hexdigest() == GRAPH_DIGESTS[dataset]
+
+
+@pytest.mark.parametrize("dataset", sorted(BASELINE_REPORT_DIGESTS))
+def test_baseline_scorer_prints_and_reports_the_recorded_outputs(dataset, tmp_path, monkeypatch, capsys):
+    config = str(write_dataset(dataset, tmp_path / dataset, monkeypatch))
+    assert main(["build-graph", "--config", config]) == 0
+    capsys.readouterr()
+    for sources, digest in BASELINE_TRANSLATIONS[dataset]:
+        command = ["translate", *sources, "--target-system", "fr", "--scorer", "baseline", "--config", config]
+        assert main(command) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest, sources
+    assert main(["evaluate", "--scorer", "baseline", "--config", config]) == 0
+    report = Path(PipelineConfig.from_file(config).workdir) / "report.json"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == BASELINE_REPORT_DIGESTS[dataset]
