@@ -41,8 +41,7 @@ class ConceptEmbeddingMatrix:
     vectors: np.ndarray
     known: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False)
-    # translate.TargetBlock of the latest target list: the targets, their row-normalized rows
-    # and ranking keys (see translate._target_block)
+    # kept by translation: a translate.TargetMemo of the latest target list (see translate._memo)
     _target_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

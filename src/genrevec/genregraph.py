@@ -132,34 +132,6 @@ class GenreEdge(NamedTuple):
     relation: str
 
 
-class HopMemo(NamedTuple):
-    """What a graph keeps for the target list of the latest :func:`hop_counts` call.
-
-    Built when a call brings another target list, so the targets are
-    resolved and sorted once per list; the arrays are read-only.
-    """
-
-    targets: tuple[str, ...]
-    rows: dict[int, np.ndarray]  # source position -> its hop row to the targets
-    positions: np.ndarray  # the targets' positions
-    lex_rank: np.ndarray  # each target's position in lexicographic order
-    names: np.ndarray  # the targets as an object array
-
-
-def lexicographic_keys(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each id's position in lexicographic order, and the ids as an object array; both read-only.
-
-    A translation ranks by score, ties broken by the first array, and
-    gathers its ranking from the second.
-    """
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    names = np.empty(len(ids), dtype=object)
-    names[:] = ids
-    rank.flags.writeable = names.flags.writeable = False
-    return rank, names
-
-
 class GenreGraph:
     """Typed genre graph: directed edge storage over an undirected adjacency.
 
@@ -167,11 +139,11 @@ class GenreGraph:
     dict. Edges are stored as read (direction retained for fidelity). The
     first read of the structure caches a table of (src position, dst
     position, relation code) rows and, built from it, one symmetric 0/1
-    sparse adjacency, which components and paths read. :func:`hop_counts`
-    keeps a :class:`HopMemo` for the latest target list: the targets'
-    positions and ranking keys and the hop rows it searched. Every change
-    to the graph (``add_node``, ``add_edge``) drops the table, the
-    adjacency and the memo; a copy starts without them. The word
+    sparse adjacency, which components and paths read. The graph also
+    holds an opaque ``_target_memo`` slot, which translation fills with
+    what it derives from the graph for one target list. Every change to
+    the graph (``add_node``, ``add_edge``) drops the table, the adjacency
+    and the memo; a copy starts without them. The word
     vocabulary (the node labels' words and their lemmas, see
     :func:`load_graph`) is kept so that attached tags split against it.
     """
@@ -181,7 +153,7 @@ class GenreGraph:
         self._edges: dict[GenreEdge, None] = {}
         # node ids in insertion order, id -> position, the read-only edge table, and the adjacency
         self._cache: tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix] | None = None
-        self._hop_memo: HopMemo | None = None
+        self._target_memo = None  # kept by translation, see genrevec.translate.TargetMemo
         self.word_vocabulary = frozenset(word_vocabulary)
 
     # -- construction -----------------------------------------------------
@@ -190,7 +162,7 @@ class GenreGraph:
         if node.id in self._nodes:
             raise GraphFormatError(f"duplicate node id {node.id!r}")
         self._nodes[node.id] = node
-        self._cache = self._hop_memo = None
+        self._cache = self._target_memo = None
 
     def add_edge(self, src: str, dst: str, relation: str) -> bool:
         """Add a typed edge; returns False for an exact duplicate."""
@@ -200,7 +172,7 @@ class GenreGraph:
         if edge in self._edges:
             return False
         self._edges[edge] = None
-        self._cache = self._hop_memo = None
+        self._cache = self._target_memo = None
         return True
 
     def _checked_edge(self, src, dst, relation) -> GenreEdge:
@@ -499,41 +471,17 @@ def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]
     """Shortest undirected path lengths, shape (sources, targets); inf where unreachable.
 
     Raises ValueError naming the first unknown id, sources before targets.
-    See :func:`hop_memo` for what the graph keeps between calls.
+    Searches :data:`HOP_CHUNK` sources per ``csgraph.shortest_path`` call.
     """
-    source_positions, memo = hop_memo(graph, sources, tuple(targets))
-    hops = np.empty((len(source_positions), len(memo.targets)))
-    for row, i in enumerate(source_positions):
-        hops[row] = memo.rows[i]
+    source_positions = graph._positions(sources)
+    target_positions = graph._positions(targets)
+    matrix = graph._structure()[3]
+    hops = np.empty((len(source_positions), len(target_positions)))
+    for start in range(0, len(source_positions), HOP_CHUNK):
+        chunk = source_positions[start:start + HOP_CHUNK]
+        rows = csgraph.shortest_path(matrix, unweighted=True, indices=chunk)
+        hops[start:start + len(chunk)] = rows[:, target_positions]
     return hops
-
-
-def hop_memo(graph: GenreGraph, sources: Iterable[str], targets: tuple[str, ...]) -> tuple[list[int], HopMemo]:
-    """The sources' positions, and the graph's memo for `targets` holding each source's hop row.
-
-    Raises ValueError naming the first unknown id, sources before targets.
-    The memo is keyed by the target ids, not by the caller's list, so a list
-    changed in place is not served stale: a call with the same ids reuses
-    it and resolves only its sources, and a call with other ids replaces
-    it, so it holds at most (distinct sources) x (targets) floats. A source
-    already in it is not searched again; the rest are searched
-    :data:`HOP_CHUNK` to a call, and the memo is swapped for one with their
-    rows only once every row is in. ``add_node`` and ``add_edge`` drop it.
-    """
-    source_positions = graph._positions(sources).tolist()
-    memo = graph._hop_memo
-    if memo is None or memo.targets != targets:
-        memo = HopMemo(targets, {}, graph._positions(targets), *lexicographic_keys(targets))
-    missing = [i for i in dict.fromkeys(source_positions) if i not in memo.rows]
-    if missing:
-        matrix = graph._structure()[3]
-        rows = dict(memo.rows)
-        for start in range(0, len(missing), HOP_CHUNK):
-            chunk = missing[start:start + HOP_CHUNK]
-            rows.update(zip(chunk, csgraph.shortest_path(matrix, unweighted=True, indices=chunk)[:, memo.positions]))
-        memo = memo._replace(rows=rows)
-    graph._hop_memo = memo
-    return source_positions, memo
 
 
 def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:

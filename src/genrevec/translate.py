@@ -5,10 +5,10 @@ mean across the source set, or shortest-path relatedness over the genre
 graph for the baseline. :func:`score_sets` scores many source sets against
 one target list in one pass, as evaluation does; :func:`translate` is its
 one-set call, with ranking. What depends only on the target list is built
-once per distinct list and kept in the memo its scorer owns: for "sum"/"avg"
-the matrix's :class:`TargetBlock` (the row-normalized target rows), for
-"baseline" the graph's :class:`~genrevec.genregraph.HopMemo` (the target
-positions and the hop rows searched so far); both also hold the targets'
+once per distinct list, as one :class:`TargetMemo` that its scorer's input
+keeps (see :func:`_memo`): the matrix for "sum"/"avg", holding the
+row-normalized target rows, and the graph for "baseline", holding each
+source's relatedness row searched so far. Both also hold the targets'
 lexicographic ranks and the targets as an object array, which a ranking
 reads. So a repeated target list costs a call only its sources. The scalar
 :func:`cosine` gives the same similarity for one pair of vectors.
@@ -19,12 +19,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import GenreGraph, HopMemo, hop_memo, lexicographic_keys
+from .genregraph import GenreGraph, hop_counts
 
 logger = logging.getLogger(__name__)
 
@@ -57,24 +57,36 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
-class TargetBlock(NamedTuple):
-    """What an embedding matrix keeps for the target list of the latest call (see :func:`_target_block`)."""
+class TargetMemo(NamedTuple):
+    """What a scorer's input keeps for the target list of its latest call (see :func:`_memo`)."""
 
     targets: tuple[str, ...]
-    block: np.ndarray  # the targets' row-normalized rows
+    table: np.ndarray | dict[str, np.ndarray]  # the targets' normalized rows, or source -> relatedness row
     lex_rank: np.ndarray  # each target's position in lexicographic order
     names: np.ndarray  # the targets as an object array
 
 
-def _target_block(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -> TargetBlock:
-    """The matrix's memo for `targets`: their row-normalized rows and ranking keys, all read-only.
+def _memo(owner, targets: tuple[str, ...], build: Callable[[], np.ndarray | dict]) -> TargetMemo:
+    """`owner`'s memo for `targets`, built around ``build()`` when it holds another list or none.
 
-    Keyed by the target ids; the matrix's vectors are read-only, so the memo
-    cannot go stale. Another list replaces it.
+    Keyed by the target ids, not by the caller's list, so a list changed in
+    place is not served stale; another list replaces the memo. If ``build``
+    raises, the memo the owner held stays. The arrays are read-only.
     """
-    memo = embeddings._target_memo
-    if memo is not None and memo.targets == targets:
-        return memo
+    memo = owner._target_memo
+    if memo is None or memo.targets != targets:
+        table = build()
+        lex_rank = np.empty(len(targets), dtype=np.intp)
+        lex_rank[sorted(range(len(targets)), key=targets.__getitem__)] = np.arange(len(targets))
+        names = np.empty(len(targets), dtype=object)
+        names[:] = targets
+        lex_rank.flags.writeable = names.flags.writeable = False
+        memo = owner._target_memo = TargetMemo(targets, table, lex_rank, names)
+    return memo
+
+
+def _target_rows(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -> np.ndarray:
+    """The targets' row-normalized rows, read-only; ValueError naming the first unresolvable target."""
     try:
         target_index = [embeddings.index_of(t) for t in targets]
     except KeyError:
@@ -82,8 +94,14 @@ def _target_block(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) 
         raise ValueError(f"unresolvable target tag {missing!r}") from None
     block = _normalize_rows(embeddings.vectors[target_index])
     block.flags.writeable = False
-    memo = embeddings._target_memo = TargetBlock(targets, block, *lexicographic_keys(targets))
-    return memo
+    return block
+
+
+def _relatedness(graph: GenreGraph, sources: list[str], targets: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Each source's 1/(1 + hops) row to the targets; ValueError naming the first unknown id, sources first."""
+    rows = 1.0 / (1.0 + hop_counts(graph, sources, targets))
+    rows.flags.writeable = False
+    return dict(zip(sources, rows))
 
 
 def score_sets(
@@ -101,17 +119,16 @@ def score_sets(
     "baseline"). Each set is scored as its sorted distinct tags, exactly as
     :func:`translate` scores it.
 
-    "sum"/"avg": targets are checked and row-normalized once, and that block
-    is memoized on the matrix for the latest target list, so a later call
-    with the same targets reuses it; each distinct source is normalized
-    once; each distinct tuple of resolved sources is multiplied against the
+    "sum"/"avg": targets are checked and row-normalized once per target
+    list, in the matrix's memo; each distinct source is normalized once;
+    each distinct tuple of resolved sources is multiplied against the
     targets once and its cosine rows summed, and divided by its size for
     "avg"; later sets with the same resolved tuple copy that row. A set
     with no resolved source scores 0 everywhere.
-    "baseline" takes one hop row per distinct source from the graph's memo
-    (:func:`~genrevec.genregraph.hop_memo`, which searches only sources it
-    does not hold yet) and averages 1/(1 + hops) over the set, requiring
-    every id to be a graph node.
+    "baseline" averages over the set one 1/(1 + hops) row per source from
+    the graph's memo, which searches, in one :func:`~genrevec.genregraph.hop_counts`
+    call, only the distinct sources it does not hold yet; every id must be
+    a graph node, and an unknown source is named before an unknown target.
     """
     scores, dropped, _ = _score(source_sets, tuple(targets), embeddings, scorer, graph)
     return scores, dropped
@@ -123,7 +140,7 @@ def _score(
     embeddings: ConceptEmbeddingMatrix | None,
     scorer: str,
     graph: GenreGraph | None,
-) -> tuple[np.ndarray, np.ndarray, TargetBlock | HopMemo | None]:
+) -> tuple[np.ndarray, np.ndarray, TargetMemo | None]:
     """:func:`score_sets`, plus the scorer's memo for `targets` (None when there is no set)."""
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
@@ -140,16 +157,17 @@ def _score(
             raise ValueError("the baseline scorer requires the genre graph")
         # first-seen order, so an unknown id is reported as in the rows
         distinct = list(dict.fromkeys(chain(*rows)))
-        positions, memo = hop_memo(graph, distinct, targets)
-        hops = np.array([memo.rows[i] for i in positions])
-        relatedness = dict(zip(distinct, 1.0 / (1.0 + hops)))
+        memo = _memo(graph, targets, lambda: _relatedness(graph, distinct, targets))
+        missing = [source for source in distinct if source not in memo.table]
+        if missing:
+            memo.table.update(_relatedness(graph, missing, targets))
         for i, row in enumerate(rows):
-            scores[i] = sum(relatedness[source] for source in row) / len(row)
+            scores[i] = sum(memo.table[source] for source in row) / len(row)
         return scores, dropped, memo
 
     if embeddings is None:
         raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-    memo = _target_block(embeddings, targets)
+    memo = _memo(embeddings, targets, lambda: _target_rows(embeddings, targets))
     resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
     dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
 
@@ -168,7 +186,7 @@ def _score(
         if first != i:
             scores[i] = scores[first]
         else:
-            values = (source_matrix[[position[s] for s in resolved]] @ memo.block.T).sum(axis=0)
+            values = (source_matrix[[position[s] for s in resolved]] @ memo.table.T).sum(axis=0)
             scores[i] = values / len(resolved) if scorer == "avg" else values
     return scores, dropped, memo
 
@@ -190,8 +208,7 @@ def translate(
     break lexicographically (``-0.0`` ties with ``0.0``): one ``np.lexsort``
     on the targets' lexicographic ranks and the negated scores, then one
     gather from the targets' object array. Both arrays come from the
-    scorer's memo, which the call reads once, keyed by the target ids: the
-    matrix's for "sum"/"avg", the graph's for "baseline".
+    scorer's :class:`TargetMemo`, which the call reads once.
     """
     sources = set(source_tags)
     target_ids = tuple(dict.fromkeys(targets))

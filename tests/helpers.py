@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
+from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -16,9 +18,9 @@ from scipy.stats import rankdata
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
-from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, HopMemo, hop_counts, tag_node_id
+from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts, tag_node_id
 from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
-from genrevec.translate import TranslationResult, cosine
+from genrevec.translate import TargetMemo, TranslationResult, _memo, cosine
 from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
 
 
@@ -124,7 +126,7 @@ def bfs_hops(graph: GenreGraph, source: str) -> dict[str, int]:
 
 
 def per_source_hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:
-    """Oracle: hop_counts as it was before it memoized rows, one shortest-path call per source per call."""
+    """Oracle: hop_counts with one shortest-path call per source."""
     source_positions = graph._positions(sources)
     target_positions = graph._positions(targets)
     matrix = graph._structure()[3]
@@ -134,16 +136,39 @@ def per_source_hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Se
     return hops
 
 
-def unmemoized_hop_memo(graph: GenreGraph, sources: Iterable[str], targets: tuple[str, ...]) -> tuple[list[int], HopMemo]:
-    """Oracle: `hop_memo` keeping nothing: each call resolves, sorts and searches afresh, one search per source."""
-    sources = list(sources)
-    positions = graph._positions(sources).tolist()
-    rows = dict(zip(positions, per_source_hop_counts(graph, sources, targets)))
-    lex_rank = np.empty(len(targets), dtype=np.intp)
-    lex_rank[sorted(range(len(targets)), key=targets.__getitem__)] = np.arange(len(targets))
-    names = np.empty(len(targets), dtype=object)
-    names[:] = targets
-    return positions, HopMemo(targets, rows, graph._positions(targets), lex_rank, names)
+def record_searches(monkeypatch) -> list[list[int]]:
+    """Record, for the rest of the test, the source positions of every `csgraph.shortest_path` call."""
+    calls = []
+    search = csgraph.shortest_path
+
+    def recorded(*args, **kwargs):
+        calls.append(list(kwargs["indices"]))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "shortest_path", recorded)
+    return calls
+
+
+def unstored_memo(owner, targets: tuple[str, ...], build) -> TargetMemo:
+    """Stand-in for `translate._memo` that builds the memo on every call and never stores it on `owner`."""
+    return _memo(SimpleNamespace(_target_memo=None), targets, build)
+
+
+def count_memo_builds(monkeypatch) -> Counter:
+    """Count, for the rest of the test, the memos `translate._memo` builds, per (owner type, targets)."""
+    builds = Counter()
+
+    def counted(owner, targets, build):
+        def counted_build():
+            table = build()
+            builds[type(owner), targets] += 1
+            return table
+
+        return _memo(owner, targets, counted_build)
+
+    # the package exports the function translate, which hides the module of that name
+    monkeypatch.setattr(importlib.import_module("genrevec.translate"), "_memo", counted)
+    return builds
 
 
 def bfs_components(graph: GenreGraph) -> list[frozenset[str]]:

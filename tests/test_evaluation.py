@@ -29,7 +29,7 @@ from genrevec.evaluation import (
     stratified_split,
 )
 from genrevec.fixtures import write_demo_dataset
-from genrevec.genregraph import RELATIONS, load_saved_graph, tag_node_id
+from genrevec.genregraph import HOP_CHUNK, RELATIONS, load_saved_graph, tag_node_id
 from genrevec.translate import translate
 
 from helpers import (
@@ -38,9 +38,10 @@ from helpers import (
     oracle_translate_scores,
     paired_corpus,
     rankdata_fold_aucs,
+    record_searches,
     scan_stratified_split,
     synthetic_corpus,
-    unmemoized_hop_memo,
+    unstored_memo,
 )
 
 
@@ -647,7 +648,7 @@ class TestBatchScoringOracle:
 
 
 class TestMemoizedBaseline:
-    """Baseline scores and rankings through the graph's hop memo equal a fresh per-source search, bit for bit."""
+    """Baseline scores and rankings through the graph's memo equal those of a memo built on every call."""
 
     def test_demo_data(self, tmp_path, monkeypatch):
         paths = write_demo_dataset(tmp_path)
@@ -667,10 +668,20 @@ class TestMemoizedBaseline:
             return reports, [(r.scores, r.ranking) for r in results]
 
         memoized = run()
-        assert graph._hop_memo is not None
+        assert graph._target_memo is not None
         # the package exports the function translate, which hides the module of that name
-        monkeypatch.setattr(importlib.import_module("genrevec.translate"), "hop_memo", unmemoized_hop_memo)
+        monkeypatch.setattr(importlib.import_module("genrevec.translate"), "_memo", unstored_memo)
         assert run() == memoized
+
+    def test_evaluate_searches_hop_chunk_sources_per_call(self, monkeypatch):
+        tags = [f"s{i:03d}" for i in range(140)]
+        items = [CorpusItem(f"i{i:03d}", {"src": (tag,), "tgt": (f"t{i % 2}",)}) for i, tag in enumerate(tags)]
+        corpus = ParallelCorpus(items=items, systems=("src", "tgt"))
+        ids = [tag_node_id("src", tag) for tag in tags] + [tag_node_id("tgt", "t0"), tag_node_id("tgt", "t1")]
+        graph = bare_graph(ids, [(a, b, "musicSubgenre") for a, b in zip(ids, ids[1:])])
+        searches = record_searches(monkeypatch)
+        evaluate(corpus, stratified_split(corpus, k=2, seed=0), "tgt", ["src"], scorer="baseline", graph=graph)
+        assert [len(call) for call in searches] == [HOP_CHUNK, HOP_CHUNK, 140 - 2 * HOP_CHUNK]
 
 
 class TestEvaluateWarnings:

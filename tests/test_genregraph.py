@@ -30,14 +30,17 @@ from genrevec.genregraph import (
     save_graph,
     tag_node_id,
 )
+from genrevec.translate import score_sets, translate
 
 from helpers import (
     bare_graph,
     bfs_components,
     bfs_hops,
+    count_memo_builds,
     neighbors,
     per_source_hop_counts,
     rebuilding_filter_graph,
+    record_searches,
     shortest_path_similarity,
     undirected_relations,
     write_edges_jsonl,
@@ -554,6 +557,7 @@ class TestAdjacency:
         assert hops.shape == (1, 3) and hops.dtype == np.float64
         np.testing.assert_array_equal(hops, [[np.inf, 1.0, 0.0]])
         assert hop_counts(graph, [], ["A"]).shape == (0, 1)
+        assert hop_counts(graph, ["A"], []).shape == (1, 0)
 
     def test_unknown_id_named_sources_first(self):
         graph = bare_graph(["A"], [])
@@ -602,22 +606,8 @@ def assert_same_hops(graph, sources, targets):
     assert hops.tobytes() == expected.tobytes()
 
 
-@pytest.fixture
-def search_calls(monkeypatch):
-    """Record the `indices` of every shortest-path call hop_counts makes."""
-    calls = []
-    search = genregraph.csgraph.shortest_path
-
-    def counted(*args, **kwargs):
-        calls.append(list(kwargs["indices"]))
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(genregraph.csgraph, "shortest_path", counted)
-    return calls
-
-
 class TestHopMemo:
-    """hop_counts memoizes rows per target list; every call still equals a fresh per-source search."""
+    """hop_counts equals a fresh per-source search; the baseline memo on the graph searches each source once."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_call_sequence_matches_per_source_oracle(self, seed):
@@ -639,43 +629,45 @@ class TestHopMemo:
         assert_same_hops(graph, ["late", *some, "lone1"], first)
 
         twin = graph.copy()
-        memo = graph._hop_memo
         twin.add_edge("lone2", "late", "sameAs")
         assert_same_hops(twin, ["lone2", "late", *some], first + ["late"])
-        assert graph._hop_memo is memo
         assert_same_hops(graph, ["lone2", "late", *some], first)
 
-    def test_repeated_call_runs_no_search(self, search_calls):
+    def test_repeated_call_runs_no_search(self, monkeypatch):
         graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
-        hops = hop_counts(graph, ["A", "C", "A"], ["B", "C"])
-        assert search_calls == [[0, 2]]
-        np.testing.assert_array_equal(hop_counts(graph, ["A", "C", "A"], ["B", "C"]), hops)
-        np.testing.assert_array_equal(hop_counts(graph, ["C"], ["B", "C"]), hops[1:2])
-        assert search_calls == [[0, 2]]
+        searches = record_searches(monkeypatch)
+        scores, _ = score_sets([["A"], ["C"], ["A"]], ["B", "C"], scorer="baseline", graph=graph)
+        assert searches == [[0, 2]]
+        again, _ = score_sets([["A"], ["C"], ["A"]], ["B", "C"], scorer="baseline", graph=graph)
+        np.testing.assert_array_equal(again, scores)
+        np.testing.assert_array_equal(score_sets([["C"]], ["B", "C"], scorer="baseline", graph=graph)[0], scores[1:2])
+        assert searches == [[0, 2]]
 
-    def test_misses_searched_in_chunks_and_memo_follows_graph_and_targets(self, search_calls):
+    def test_misses_searched_in_chunks_and_memo_follows_graph_and_targets(self, monkeypatch):
         ids = [f"n{i:03d}" for i in range(150)]
         graph = bare_graph(ids, [(a, b, "musicSubgenre") for a, b in zip(ids, ids[1:])])
         targets = ids[::10]
-        hop_counts(graph, ids[:130], targets)
-        assert [len(call) for call in search_calls] == [64, 64, 2]
-        hop_counts(graph, ids[:130], targets)
-        assert len(search_calls) == 3
-        hops = hop_counts(graph, ids[120:140], targets)
-        assert search_calls[3:] == [list(range(130, 140))]
-        assert len(graph._hop_memo.rows) == 140  # one row per distinct source, of len(targets) floats
-        np.testing.assert_array_equal(hops, np.abs(np.arange(120, 140)[:, None] - np.arange(0, 150, 10)))
+        searches, builds = record_searches(monkeypatch), count_memo_builds(monkeypatch)
+        translate(ids[:130], targets, scorer="baseline", graph=graph)
+        assert [len(call) for call in searches] == [64, 64, 2]
+        translate(ids[:130], targets, scorer="baseline", graph=graph)
+        assert len(searches) == 3
+        scores, _ = score_sets([[source] for source in ids[120:140]], targets, scorer="baseline", graph=graph)
+        assert searches[3:] == [list(range(130, 140))]
+        assert len(graph._target_memo.table) == 140  # one row per distinct source, of len(targets) floats
+        np.testing.assert_array_equal(scores, 1 / (1 + np.abs(np.arange(120, 140)[:, None] - np.arange(0, 150, 10))))
 
-        hop_counts(graph, ids[:2], ids[::5])  # another target list starts a new memo
-        hop_counts(graph, ids[:2], targets)
-        assert search_calls[4:] == [[0, 1], [0, 1]]
+        translate(ids[:2], ids[::5], scorer="baseline", graph=graph)  # another target list starts a new memo
+        translate(ids[:2], targets, scorer="baseline", graph=graph)
+        assert searches[4:] == [[0, 1], [0, 1]]
         graph.add_node(GenreNode(id="late", language="en", raw_label="late", tokens=("late",)))
-        hop_counts(graph, ids[:2], targets)
+        translate(ids[:2], targets, scorer="baseline", graph=graph)
         graph.add_edge("late", ids[0], "sameAs")
-        hop_counts(graph, ids[:2], targets)
-        assert search_calls[6:] == [[0, 1], [0, 1]]
-        assert graph.copy()._hop_memo is None and filter_graph(graph, ids[:1])._hop_memo is None
-        assert attach_tag_system(graph, "x", ["late"], "en")._hop_memo is None
+        translate(ids[:2], targets, scorer="baseline", graph=graph)
+        assert searches[6:] == [[0, 1], [0, 1]]
+        assert builds == {(GenreGraph, tuple(targets)): 4, (GenreGraph, tuple(ids[::5])): 1}
+        assert graph.copy()._target_memo is None and filter_graph(graph, ids[:1])._target_memo is None
+        assert attach_tag_system(graph, "x", ["late"], "en")._target_memo is None
 
 
 class TestEdgeStore:

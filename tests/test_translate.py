@@ -1,6 +1,5 @@
 """Tests for cosine scoring, aggregation, and target ranking."""
 
-import importlib
 import logging
 from collections import Counter
 
@@ -9,13 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genrevec import genregraph
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.genregraph import RELATIONS, GenreGraph, GenreNode
 from genrevec.retrofit import RetrofitConfig, retrofit
 from genrevec.translate import cosine, score_sets, translate
 
-from helpers import bare_graph, oracle_translate, score_avg, score_sum, shortest_path_similarity, vector
+from helpers import (
+    bare_graph,
+    count_memo_builds,
+    oracle_translate,
+    score_avg,
+    score_sum,
+    shortest_path_similarity,
+    vector,
+)
 
 
 class TestCosine:
@@ -295,9 +301,9 @@ class TestTargetMemo:
         embeddings = self.embeddings()
         lookups = self.counted(monkeypatch, embeddings)
         translate(["c0"], ["c4", "c5"], embeddings=embeddings)
-        block = embeddings._target_memo[1]
+        block = embeddings._target_memo.table
         translate(["c0"], ["c5", "c4"], embeddings=embeddings)
-        assert embeddings._target_memo[1] is not block
+        assert embeddings._target_memo.table is not block
         assert lookups == {"c0": 2, "c4": 2, "c5": 2}
 
     def test_unresolvable_target_rejected_after_a_memo_hit(self):
@@ -306,6 +312,7 @@ class TestTargetMemo:
             translate(["c0"], ["c4", "c5"], embeddings=embeddings)
         with pytest.raises(ValueError, match="^unresolvable target tag 'nowhere'$"):
             translate(["c0"], ["c4", "nowhere"], embeddings=embeddings)
+        assert embeddings._target_memo.targets == ("c4", "c5")
 
     def test_matrix_arrays_are_read_only(self):
         embeddings = self.embeddings()
@@ -313,24 +320,6 @@ class TestTargetMemo:
             embeddings.vectors[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             embeddings.known[0] = False
-
-
-# the package exports the function translate, which hides the module of that name
-translate_module = importlib.import_module("genrevec.translate")
-
-
-def counting(monkeypatch, owner, name, arg=0) -> Counter:
-    """Replace the function `name` of `owner` by one that counts its calls per id tuple in argument `arg`."""
-    calls = Counter()
-    original = getattr(owner, name)
-
-    def counted(*args):
-        ids = tuple(args[arg])
-        calls[ids] += 1
-        return original(*args[:arg], ids, *args[arg + 1:])
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def query(scorer, sources, targets, embeddings, graph):
@@ -351,38 +340,38 @@ class TestRankingMemo:
 
     def test_baseline_resolves_and_sorts_one_target_list_once(self, monkeypatch):
         graph = self.graph()
-        resolved = counting(monkeypatch, GenreGraph, "_positions", arg=1)
-        ranked = counting(monkeypatch, genregraph, "lexicographic_keys")
+        builds = count_memo_builds(monkeypatch)
         targets = ["n7", "n3", "n5", "n4"]
         first = translate(["n1", "n0"], targets, scorer="baseline", graph=graph)
         for _ in range(49):
             assert_same_translation(translate(["n0", "n1"], targets, scorer="baseline", graph=graph), first)
-        assert resolved == {("n0", "n1"): 50, tuple(targets): 1}
-        assert ranked == {tuple(targets): 1}
+        assert builds == {(GenreGraph, tuple(targets)): 1}
         assert_same_translation(first, oracle_translate(["n0", "n1"], targets, scorer="baseline", graph=graph))
 
     @pytest.mark.parametrize("scorer", ["sum", "avg"])
     def test_embedding_scorers_build_the_names_array_once(self, monkeypatch, scorer):
         embeddings = self.embeddings()
-        ranked = counting(monkeypatch, translate_module, "lexicographic_keys")
+        builds = count_memo_builds(monkeypatch)
         targets = ["n7", "n3", "n5", "n4"]
         first = translate(["n0"], targets, embeddings=embeddings, scorer=scorer)
         names = embeddings._target_memo.names
         for _ in range(49):
             assert_same_translation(translate(["n0"], targets, embeddings=embeddings, scorer=scorer), first)
             assert embeddings._target_memo.names is names
-        assert ranked == {tuple(targets): 1}
+        assert builds == {(ConceptEmbeddingMatrix, tuple(targets)): 1}
 
     @pytest.mark.parametrize("scorer", ["sum", "avg", "baseline"])
     def test_a_reordered_or_different_list_rebuilds_the_memo(self, monkeypatch, scorer):
         graph, embeddings = self.graph(), self.embeddings()
-        ranked = counting(monkeypatch, genregraph if scorer == "baseline" else translate_module, "lexicographic_keys")
+        owner = graph if scorer == "baseline" else embeddings
+        builds = count_memo_builds(monkeypatch)
         lists = [["n5", "n6"], ["n6", "n5"], ["n6", "n5", "n7"], ["n5", "n6"]]
         for targets in lists:
             assert_same_translation(*query(scorer, ["n0", "n6"], targets, embeddings, graph))
-            memo = graph._hop_memo if scorer == "baseline" else embeddings._target_memo
+            memo = owner._target_memo
             assert memo.targets == tuple(targets) and memo.names.tolist() == targets
-        assert ranked == {("n5", "n6"): 2, ("n6", "n5"): 1, ("n6", "n5", "n7"): 1}
+        kind = type(owner)
+        assert builds == {(kind, ("n5", "n6")): 2, (kind, ("n6", "n5")): 1, (kind, ("n6", "n5", "n7")): 1}
 
     @pytest.mark.parametrize("scorer", ["sum", "avg", "baseline"])
     def test_a_list_mutated_in_place_is_not_served_stale(self, scorer):
@@ -396,13 +385,13 @@ class TestRankingMemo:
         graph = self.graph()
         targets = ["n7", "n3"]
         assert translate(["n0"], targets, scorer="baseline", graph=graph).scores == {"n7": 1 / 8, "n3": 1 / 4}
-        assert graph._hop_memo is not None
+        assert graph._target_memo is not None
         graph.add_edge("n0", "n7", "sameAs")
-        assert graph._hop_memo is None
+        assert graph._target_memo is None
         result = translate(["n0"], targets, scorer="baseline", graph=graph)
         assert result.scores == {"n7": 1 / 2, "n3": 1 / 4} and result.ranking == ["n7", "n3"]
         graph.add_node(GenreNode(id="n8", language="en", raw_label="n8", tokens=("n8",)))
-        assert graph._hop_memo is None
+        assert graph._target_memo is None
         result = translate(["n8"], ["n7", "n8"], scorer="baseline", graph=graph)
         assert result.scores == {"n7": 0.0, "n8": 1.0} and result.ranking == ["n8", "n7"]
 
@@ -416,4 +405,4 @@ class TestRankingMemo:
             translate(["zz"], ["n5", "yy"], scorer="baseline", graph=graph)
         with pytest.raises(ValueError, match="^unknown node id 'yy'$"):
             translate(["n0"], ["n5", "yy"], scorer="baseline", graph=graph)
-        assert graph._hop_memo.targets == ("n5", "n6")
+        assert graph._target_memo.targets == ("n5", "n6")
