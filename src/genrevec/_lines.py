@@ -1,5 +1,5 @@
-"""File I/O: line iteration over paths, text streams, and string iterables,
-JSON-lines records, and artifact writes that replace a file atomically."""
+"""File I/O: line iteration over UTF-8 text files, JSON-lines records, and
+artifact writes that replace a file atomically."""
 
 from __future__ import annotations
 
@@ -7,25 +7,17 @@ import contextlib
 import json
 import os
 import uuid
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 
-def iter_lines(source: str | os.PathLike | IO | Iterable[str]) -> Iterator[str]:
-    """Yield lines from `source` with trailing newlines removed.
-
-    Strings and path-likes are treated as file paths and read as UTF-8; text
-    streams and plain iterables of strings are consumed as-is.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            for line in handle:
-                yield line.rstrip("\r\n")
-        return
-    for line in source:
-        yield line.rstrip("\r\n")
+def iter_lines(path: str | os.PathLike) -> Iterator[str]:
+    """Yield the lines of the UTF-8 file at `path` with trailing newlines removed."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        for line in handle:
+            yield line.rstrip("\r\n")
 
 
-def iter_json_objects(source, what: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+def iter_json_objects(source: str | os.PathLike, what: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """(line number, object) per nonblank line; `error` names `what` and the line of a bad one."""
     for lineno, line in enumerate(iter_lines(source), start=1):
         if not line.strip():

@@ -247,12 +247,7 @@ def _load_translation_inputs(config: PipelineConfig, matrix_path: str | None):
     graph = load_saved_graph(graph_path)
     embeddings = None
     if config.scorer != "baseline":
-        if matrix_path:
-            path = Path(matrix_path)
-        else:
-            path = _artifact(config, "retrofitted.npz")
-            if not path.exists():
-                path = _artifact(config, "embeddings.npz")
+        path = Path(matrix_path) if matrix_path else _artifact(config, "retrofitted.npz")
         embeddings, _ = _load_paired_matrix(path, graph_path)
     return graph, embeddings
 

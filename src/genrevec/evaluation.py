@@ -18,7 +18,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,18 +70,21 @@ class ParallelCorpus:
 
 
 def load_corpus(
-    source: str | os.PathLike | IO | Iterable[str],
+    source: str | os.PathLike,
     min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
 ) -> ParallelCorpus:
-    """Read items from JSON lines of {"id": ..., "annotations": {system: [tags]}}.
+    """Read items from a file of JSON lines of {"id": ..., "annotations": {system: [tags]}}.
 
     Tags with no alphanumeric content, which no graph node can stand for
     (:func:`genrevec.genregraph.has_tokens`), are dropped with one warning.
     Items then annotated in fewer than two systems are dropped with a warning.
     Items carrying any tag observed fewer than `min_tag_count` times in the
     loaded corpus are then filtered out in one pass (counts taken before
-    filtering); pass 0 or 1 to disable.
+    filtering); pass 0 or 1 to disable. A negative `min_tag_count` raises
+    ValueError.
     """
+    if min_tag_count < 0:
+        raise ValueError(f"min_tag_count must be nonnegative, got {min_tag_count}")
     items: list[CorpusItem] = []
     seen_ids: set[str] = set()
     usable: dict[tuple[str, str], bool] = {}  # (system, tag) -> whether it has tokens
@@ -205,7 +208,9 @@ def stratified_split(corpus: ParallelCorpus, k: int = 4, seed: int = 0) -> FoldA
                 if other != label and others:
                     heapq.heappush(heap, len(others) * width + other)
 
-    for position, fold in enumerate(assignment):  # items with no labels cannot occur, but stay safe
+    # No label deals an item without tags: load_corpus drops such items, but a
+    # ParallelCorpus built directly can hold them. Each goes to the roomiest fold.
+    for position, fold in enumerate(assignment):
         if fold is None:
             fold = max(range(k), key=lambda f: (capacity[f], -f))
             assignment[position] = fold

@@ -13,7 +13,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -339,8 +339,8 @@ def _kind(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
-def load_lemma_table(source: str | os.PathLike | IO | Iterable[str]) -> dict[str, str]:
-    """Read a word<TAB>lemma table; both sides are NFC-normalized and lowercased."""
+def load_lemma_table(source: str | os.PathLike) -> dict[str, str]:
+    """Read the word<TAB>lemma table file at `source`; both sides are NFC-normalized and lowercased."""
     table: dict[str, str] = {}
     for lineno, line in enumerate(iter_lines(source), start=1):
         if not line:
@@ -364,11 +364,11 @@ def has_tokens(tag: str) -> bool:
 
 
 def load_graph(
-    nodes_source: str | os.PathLike | IO | Iterable[str],
-    edges_source: str | os.PathLike | IO | Iterable[str],
+    nodes_source: str | os.PathLike,
+    edges_source: str | os.PathLike,
     lemma_table: Mapping[str, str] | None = None,
 ) -> GenreGraph:
-    """Build a graph from node and edge JSON-lines streams.
+    """Build a graph from node and edge JSON-lines files.
 
     A node's tokens are its label's, split on non-alphanumeric runs; node
     labels are never split into vocabulary words. The graph's word

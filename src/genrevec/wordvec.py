@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import os
 import unicodedata
-from typing import IO, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class WordVectorStore:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return normalize_word(word) in self._rank
-
     def lookup(self, word: str) -> tuple[np.ndarray, int] | None:
         """Return (vector, rank) for `word`, or None when out of vocabulary."""
         rank = self._rank.get(normalize_word(word))
@@ -60,8 +57,8 @@ class WordVectorStore:
         return self.matrix[rank - 1], rank
 
 
-def load_vectors(source: str | os.PathLike | IO | Iterable[str]) -> WordVectorStore:
-    """Parse the text vector format into a :class:`WordVectorStore`.
+def load_vectors(source: str | os.PathLike) -> WordVectorStore:
+    """Parse the text vector file at `source` into a :class:`WordVectorStore`.
 
     The first line must be "<count> <dim>"; each following line is a word and
     `dim` finite decimal components separated by single spaces. The header's

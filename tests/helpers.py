@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import importlib
-import io
 import itertools
 import json
 import random
+import tempfile
 from collections import Counter, deque
+from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
@@ -24,13 +25,25 @@ from genrevec.translate import TargetMemo, TranslationResult, _memo, cosine
 from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
 
 
+# One directory for every text_file, removed when the interpreter exits.
+_TEXT_FILES = tempfile.TemporaryDirectory(prefix="genrevec-tests-")
+
+
+def text_file(text: str) -> Path:
+    """A new file holding `text` unchanged (UTF-8, no newline translation), for the loaders, which read paths."""
+    descriptor, name = tempfile.mkstemp(suffix=".txt", dir=_TEXT_FILES.name)
+    with open(descriptor, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    return Path(name)
+
+
 def make_store(entries: list[tuple[str, list[float]]]) -> WordVectorStore:
     """Store from (word, vector) pairs, ranks in list order."""
     dim = len(entries[0][1])
     lines = [f"{len(entries)} {dim}"]
     for word, vector in entries:
         lines.append(word + " " + " ".join(str(x) for x in vector))
-    return load_vectors(io.StringIO("\n".join(lines) + "\n"))
+    return load_vectors(text_file("\n".join(lines) + "\n"))
 
 
 FIXTURE_STORE_ENTRIES = [
@@ -531,7 +544,9 @@ def scan_stratified_split(corpus: ParallelCorpus, k: int = 4, seed: int = 0) -> 
                 remaining[other].discard(item_id)
         remaining = {label: ids for label, ids in remaining.items() if ids}
 
-    for item_id in item_order:  # items with no labels cannot occur, but stay safe
+    # No label deals an item without tags: load_corpus drops such items, but a
+    # ParallelCorpus built directly can hold them. Each goes to the roomiest fold.
+    for item_id in item_order:
         if item_id not in assignment:
             fold = max(range(k), key=lambda f: (capacity[f], -f))
             assignment[item_id] = fold

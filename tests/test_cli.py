@@ -192,18 +192,35 @@ class TestGraphPairing:
 
     def test_edited_edge_makes_later_stages_reject_the_matrix(self, embedded, capsys):
         paths, config, workdir = embedded
+        assert main(["retrofit", "--config", config]) == 0
         lines = paths["edges"].read_text(encoding="utf-8").splitlines()
         edge = json.loads(lines[-1])
         edge["rel"] = "musicSubgenre" if edge["rel"] == "derivative" else "derivative"
         paths["edges"].write_text("\n".join(lines[:-1] + [json.dumps(edge)]) + "\n", encoding="utf-8")
         assert main(["build-graph", "--config", config]) == 0
         capsys.readouterr()
-        for command in (["retrofit"], ["evaluate"], ["translate", "en:Rock", "--target-system", "fr"]):
+        # each stage rejects the matrix it reads: retrofit its input, evaluate and translate retrofit's output
+        for command, matrix in (
+            (["retrofit"], "embeddings.npz"),
+            (["evaluate"], "retrofitted.npz"),
+            (["translate", "en:Rock", "--target-system", "fr"], "retrofitted.npz"),
+        ):
             assert main(command + ["--config", config]) == 2, command
             err = capsys.readouterr().err
-            assert str(workdir / "embeddings.npz") in err and str(workdir / "graph.json") in err, command
+            assert str(workdir / matrix) in err and str(workdir / "graph.json") in err, command
         assert main(["embed", "--config", config]) == 0
         assert main(["retrofit", "--config", config]) == 0
+
+    def test_unretrofitted_matrix_is_read_only_when_named(self, embedded, capsys):
+        _, config, workdir = embedded
+        capsys.readouterr()
+        for command in (["evaluate"], ["translate", "en:Rock", "--target-system", "fr"]):
+            assert main(command + ["--config", config]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(workdir / "retrofitted.npz") in err, command
+            assert main(command + ["--config", config, "--matrix", str(workdir / "embeddings.npz")]) == 0, command
+            capsys.readouterr()
+        assert not (workdir / "retrofitted.npz").exists()
 
     def test_matrix_without_graph_digest_rejected(self, embedded, capsys):
         _, config, workdir = embedded
@@ -321,6 +338,13 @@ class TestErrors:
         paths["config"].write_text(json.dumps(config), encoding="utf-8")
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
         assert capsys.readouterr().err.startswith("error: smoothing constant a must be positive and finite")
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+
+    def test_negative_min_tag_count_rejected_before_graph_is_written(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "data")
+        edit_config(paths["config"], min_tag_count=-5)
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err == "error: min_tag_count must be nonnegative, got -5\n"
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     def test_tag_system_language_missing_from_graph_rejected_before_graph_is_written(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Tests for corpus loading, stratified folds, ranking AUC, and the experiment driver."""
 
 import importlib
-import io
 import json
 import logging
 import math
@@ -41,12 +40,13 @@ from helpers import (
     record_searches,
     scan_stratified_split,
     synthetic_corpus,
+    text_file,
     unstored_memo,
 )
 
 
 def corpus_lines(records):
-    return io.StringIO("".join(json.dumps(r) + "\n" for r in records))
+    return text_file("".join(json.dumps(r) + "\n" for r in records))
 
 
 class TestLoadCorpus:
@@ -95,7 +95,7 @@ class TestLoadCorpus:
 
     def test_invalid_json_names_line(self):
         with pytest.raises(CorpusFormatError, match="line 1"):
-            load_corpus(io.StringIO("not json\n"))
+            load_corpus(text_file("not json\n"))
 
     @pytest.mark.parametrize(
         "line, message",
@@ -107,7 +107,7 @@ class TestLoadCorpus:
     def test_malformed_record_names_line(self, line, message):
         first = json.dumps({"id": "a", "annotations": {"en": ["Rock"], "fr": ["Rock"]}})
         with pytest.raises(CorpusFormatError, match=re.escape(message)):
-            load_corpus(io.StringIO(first + "\n" + line + "\n"))
+            load_corpus(text_file(first + "\n" + line + "\n"))
 
     def test_tags_without_tokens_dropped_before_thin_and_count_rules(self, caplog):
         # 'a' keeps only its en tags once '!!!' goes, so it counts as single-system;
@@ -125,6 +125,12 @@ class TestLoadCorpus:
         ]
         assert "dropped 4 distinct tags with no alphanumeric content" in caplog.text
         assert "dropped 1 items annotated in fewer than two systems" in caplog.text
+
+    @pytest.mark.parametrize("value", [-1, -5])
+    def test_negative_min_tag_count_rejected(self, value):
+        records = [{"id": "a", "annotations": {"en": ["Rock"], "fr": ["Rock"]}}]
+        with pytest.raises(ValueError, match=f"^min_tag_count must be nonnegative, got {value}$"):
+            load_corpus(corpus_lines(records), min_tag_count=value)
 
     def test_counts_are_per_system(self):
         corpus = load_corpus(corpus_lines([
@@ -251,6 +257,18 @@ class TestScanSplitOracle:
         monkeypatch.setattr(evaluation, "random", SimpleNamespace(Random=CountingRandom))
         assert stratified_split(corpus, k, seed).assignment == expected
         assert choices  # some items tied on both demand and capacity, so the seeded choice decided
+
+    def test_items_without_tags_get_the_scan_split_folds(self):
+        # load_corpus drops such items, but a ParallelCorpus built directly can hold them;
+        # no label deals them, so they go to the roomiest folds after every label is dealt
+        items = [CorpusItem(f"i{n}", {"a": (f"x{n % 3}",), "b": ("y",)}) for n in range(9)]
+        items.insert(2, CorpusItem("bare", {}))
+        items.insert(7, CorpusItem("empty", {"a": (), "b": ()}))
+        corpus = ParallelCorpus(items=items, systems=("a", "b"))
+        for k, seed in [(2, 0), (3, 1), (4, 2)]:
+            folds = stratified_split(corpus, k, seed)
+            assert folds.assignment == scan_stratified_split(corpus, k, seed).assignment
+            assert sorted(folds.assignment) == sorted(item.id for item in items)
 
 
 class TestFoldAucOracle:

@@ -44,6 +44,7 @@ from helpers import (
     shortest_path_similarity,
     undirected_relations,
     write_edges_jsonl,
+    text_file,
     write_nodes_jsonl,
 )
 
@@ -156,7 +157,7 @@ SAVED_NODE = {"id": "n1", "lang": "en", "label": "Rock", "tokens": ["rock"], "sy
 
 
 def small_graph():
-    return load_graph(io.StringIO(NODES), io.StringIO(EDGES))
+    return load_graph(text_file(NODES), text_file(EDGES))
 
 
 class TestLoadGraph:
@@ -176,24 +177,24 @@ class TestLoadGraph:
 
     def test_lemma_table_extends_vocabulary(self):
         nodes = '{"id": "a", "lang": "en", "label": "Children music"}\n'
-        graph = load_graph(io.StringIO(nodes), io.StringIO(""), {"children": "child"})
+        graph = load_graph(text_file(nodes), text_file(""), {"children": "child"})
         assert "child" in graph.word_vocabulary
         assert normalize_tag("childmusic", graph.word_vocabulary) == ["child", "music"]
 
     def test_unknown_relation_names_line(self):
         edges = '{"src": "n1", "dst": "n2", "rel": "subGenreOf"}\n'
         with pytest.raises(GraphFormatError, match="edges line 1"):
-            load_graph(io.StringIO(NODES), io.StringIO(edges))
+            load_graph(text_file(NODES), text_file(edges))
 
     def test_dangling_edge_names_line(self):
         edges = EDGES + '{"src": "n1", "dst": "missing", "rel": "sameAs"}\n'
         with pytest.raises(GraphFormatError, match="edges line 3"):
-            load_graph(io.StringIO(NODES), io.StringIO(edges))
+            load_graph(text_file(NODES), text_file(edges))
 
     def test_duplicate_node_id_rejected(self):
         nodes = NODES + '{"id": "n1", "lang": "en", "label": "Rock again"}\n'
         with pytest.raises(GraphFormatError, match="duplicate node id"):
-            load_graph(io.StringIO(nodes), io.StringIO(EDGES))
+            load_graph(text_file(nodes), text_file(EDGES))
 
     @pytest.mark.parametrize(
         "line, message",
@@ -205,17 +206,17 @@ class TestLoadGraph:
     )
     def test_malformed_node_record_names_line(self, line, message):
         with pytest.raises(GraphFormatError, match=re.escape(message)):
-            load_graph(io.StringIO(NODES + line + "\n"), io.StringIO(EDGES))
+            load_graph(text_file(NODES + line + "\n"), text_file(EDGES))
 
     def test_bad_language_code_rejected(self):
         nodes = '{"id": "a", "lang": "english", "label": "Rock"}\n'
         with pytest.raises(GraphFormatError, match="language"):
-            load_graph(io.StringIO(nodes), io.StringIO(""))
+            load_graph(text_file(nodes), text_file(""))
 
     def test_self_loop_dropped_with_warning(self, caplog):
         edges = EDGES + '{"src": "n1", "dst": "n1", "rel": "sameAs"}\n'
         with caplog.at_level("WARNING"):
-            graph = load_graph(io.StringIO(NODES), io.StringIO(edges))
+            graph = load_graph(text_file(NODES), text_file(edges))
         assert graph.edge_count == 2
         assert "self-loop" in caplog.text
 
@@ -229,11 +230,11 @@ class TestLoadGraph:
     def test_self_loop_line_checked_before_it_is_dropped(self, edge, message):
         edges = EDGES + json.dumps(edge) + "\n"
         with pytest.raises(GraphFormatError, match=re.escape(message)):
-            load_graph(io.StringIO(NODES), io.StringIO(edges))
+            load_graph(text_file(NODES), text_file(edges))
 
     def test_duplicate_edge_line_deduplicated(self):
         edges = EDGES + '{"src": "n1", "dst": "n2", "rel": "musicSubgenre"}\n'
-        graph = load_graph(io.StringIO(NODES), io.StringIO(edges))
+        graph = load_graph(text_file(NODES), text_file(edges))
         assert graph.edge_count == 2
 
     def test_jsonl_roundtrip_is_exact(self):
@@ -241,7 +242,7 @@ class TestLoadGraph:
         nodes_out, edges_out = io.StringIO(), io.StringIO()
         write_nodes_jsonl(graph, nodes_out)
         write_edges_jsonl(graph, edges_out)
-        reloaded = load_graph(io.StringIO(nodes_out.getvalue()), io.StringIO(edges_out.getvalue()))
+        reloaded = load_graph(text_file(nodes_out.getvalue()), text_file(edges_out.getvalue()))
         assert reloaded == graph
 
     def test_saved_graph_roundtrip_after_attach(self, tmp_path):
@@ -307,7 +308,7 @@ class TestLoadGraph:
     def test_non_string_edge_field_names_line(self, edge):
         edges = EDGES + json.dumps(edge) + "\n"
         with pytest.raises(GraphFormatError, match="^edges line 3: edge src, dst and relation must be strings, got "):
-            load_graph(io.StringIO(NODES), io.StringIO(edges))
+            load_graph(text_file(NODES), text_file(edges))
 
     def test_saved_graph_is_one_line_of_sorted_key_json(self, tmp_path):
         graph = attach_tag_system(small_graph(), "sys", ["Hardrock", "Crunk"], "en")
@@ -378,7 +379,7 @@ class TestNodeTokens:
     def test_tokens_equal_normalizing_against_the_graph_vocabulary(self, case):
         labels, lemmas = case
         nodes = "".join(json.dumps({"id": f"n{i}", "lang": "en", "label": label}) + "\n" for i, label in enumerate(labels))
-        graph = load_graph(io.StringIO(nodes), io.StringIO(""), lemmas)
+        graph = load_graph(text_file(nodes), text_file(""), lemmas)
         for node in graph.nodes.values():
             # normalizing against the graph vocabulary changes nothing: a node label never splits
             assert list(node.tokens) == normalize_tag(node.raw_label, graph.word_vocabulary) == normalize_tag(node.raw_label)
@@ -426,7 +427,7 @@ class TestFilterGraph:
 class TestAttachTagSystem:
     def test_concatenated_tag_matches_by_tokens(self):
         nodes = '{"id": "ir", "lang": "en", "label": "Indie rock"}\n'
-        graph = load_graph(io.StringIO(nodes), io.StringIO(""))
+        graph = load_graph(text_file(nodes), text_file(""))
         attached = attach_tag_system(graph, "sys", ["indierock"], "en")
         new_id = tag_node_id("sys", "indierock")
         assert attached.nodes[new_id].tokens == ("indie", "rock")
@@ -436,13 +437,13 @@ class TestAttachTagSystem:
 
     def test_case_variant_matches(self):
         nodes = '{"id": "j", "lang": "en", "label": "jazz"}\n'
-        graph = load_graph(io.StringIO(nodes), io.StringIO(""))
+        graph = load_graph(text_file(nodes), text_file(""))
         attached = attach_tag_system(graph, "sys", ["Jazz"], "en")
         assert attached.edge_count == 1
 
     def test_language_mismatch_does_not_match(self):
         nodes = '{"id": "j", "lang": "fr", "label": "jazz"}\n'
-        graph = load_graph(io.StringIO(nodes), io.StringIO(""))
+        graph = load_graph(text_file(nodes), text_file(""))
         attached = attach_tag_system(graph, "sys", ["Jazz"], "en")
         assert attached.edge_count == 0
 
@@ -734,9 +735,9 @@ class TestRelationSets:
 
 class TestLemmaTable:
     def test_parse_and_normalize(self):
-        table = load_lemma_table(io.StringIO("Children\tChild\nNorthern\tnorth\n"))
+        table = load_lemma_table(text_file("Children\tChild\nNorthern\tnorth\n"))
         assert table == {"children": "child", "northern": "north"}
 
     def test_malformed_line_rejected(self):
         with pytest.raises(GraphFormatError, match="line 2"):
-            load_lemma_table(io.StringIO("a\tb\nbroken\n"))
+            load_lemma_table(text_file("a\tb\nbroken\n"))

@@ -1,7 +1,5 @@
 """Tests for word vector loading, lookup, and frequency estimation."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +18,14 @@ from genrevec.wordvec import (
     normalize_word,
 )
 
+from helpers import text_file
+
 BASIC = "2 3\nrock 1 0 0\npop 0 1 0\n"
 
 
 class TestLoadVectors:
     def test_basic_load(self):
-        store = load_vectors(io.StringIO(BASIC))
+        store = load_vectors(text_file(BASIC))
         assert len(store) == 2
         assert store.dim == 3
         vector, rank = store.lookup("rock")
@@ -33,23 +33,23 @@ class TestLoadVectors:
         np.testing.assert_array_equal(vector, [1.0, 0.0, 0.0])
 
     def test_wrong_component_count_names_line(self):
-        stream = io.StringIO("3 3\nrock 1 0 0\npop 0 1 0\njazz 1 0\n")
+        stream = text_file("3 3\nrock 1 0 0\npop 0 1 0\njazz 1 0\n")
         with pytest.raises(VectorFormatError, match="line 4"):
             load_vectors(stream)
 
     def test_malformed_header(self):
         with pytest.raises(VectorFormatError, match="line 1"):
-            load_vectors(io.StringIO("three 3\nrock 1 0 0\n"))
+            load_vectors(text_file("three 3\nrock 1 0 0\n"))
         with pytest.raises(VectorFormatError, match="header"):
-            load_vectors(io.StringIO("3\nrock 1 0 0\n"))
+            load_vectors(text_file("3\nrock 1 0 0\n"))
 
     def test_exact_duplicate_word_rejected(self):
-        stream = io.StringIO("3 2\nrock 1 0\npop 0 1\nrock 2 2\n")
+        stream = text_file("3 2\nrock 1 0\npop 0 1\nrock 2 2\n")
         with pytest.raises(VectorFormatError, match="line 4.*duplicate"):
             load_vectors(stream)
 
     def test_case_collision_dropped_with_warning(self, caplog):
-        stream = io.StringIO("3 2\nRock 1 0\nrock 2 2\npop 0 1\n")
+        stream = text_file("3 2\nRock 1 0\nrock 2 2\npop 0 1\n")
         with caplog.at_level("WARNING"):
             store = load_vectors(stream)
         assert len(store) == 2
@@ -62,29 +62,29 @@ class TestLoadVectors:
 
     def test_non_numeric_component(self):
         with pytest.raises(VectorFormatError, match="line 2"):
-            load_vectors(io.StringIO("1 2\nrock x 0\n"))
+            load_vectors(text_file("1 2\nrock x 0\n"))
 
     def test_non_finite_component_names_line(self):
         with pytest.raises(VectorFormatError, match="line 2.*non-finite"):
-            load_vectors(io.StringIO("1 2\nx nan inf\n"))
+            load_vectors(text_file("1 2\nx nan inf\n"))
         with pytest.raises(VectorFormatError, match="line 3.*non-finite"):
-            load_vectors(io.StringIO("2 2\nrock 1 0\npop -inf 1\n"))
+            load_vectors(text_file("2 2\nrock 1 0\npop -inf 1\n"))
 
     def test_truncated_file_rejected(self):
         with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 1$"):
-            load_vectors(io.StringIO("3 2\nrock 1 0\n"))
+            load_vectors(text_file("3 2\nrock 1 0\n"))
 
     def test_rows_dropped_as_collisions_count_as_read(self):
-        assert load_vectors(io.StringIO("2 2\nRock 1 0\nrock 2 2\n")).words == ["rock"]
+        assert load_vectors(text_file("2 2\nRock 1 0\nrock 2 2\n")).words == ["rock"]
         with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 2$"):
-            load_vectors(io.StringIO("3 2\nRock 1 0\nrock 2 2\n"))
+            load_vectors(text_file("3 2\nRock 1 0\nrock 2 2\n"))
         # reading stops after the header's count, so the row after it is never read
-        store = load_vectors(io.StringIO("3 2\nRock 1 0\nrock 0 1\npop 1 1\njazz 2 2\n"))
+        store = load_vectors(text_file("3 2\nRock 1 0\nrock 0 1\npop 1 1\njazz 2 2\n"))
         assert store.words == ["rock", "pop"]
         np.testing.assert_array_equal(store.matrix, [[1.0, 0.0], [1.0, 1.0]])
 
     def test_lookup_is_case_and_nfc_insensitive(self):
-        store = load_vectors(io.StringIO("1 2\nMétal 1 0\n"))
+        store = load_vectors(text_file("1 2\nMétal 1 0\n"))
         import unicodedata
 
         decomposed = unicodedata.normalize("NFD", "métal")
@@ -92,7 +92,7 @@ class TestLoadVectors:
         assert store.lookup("MÉTAL".lower()) is not None
 
     def test_rank_bijection(self):
-        store = load_vectors(io.StringIO("3 1\na 1\nb 2\nc 3\n"))
+        store = load_vectors(text_file("3 1\na 1\nb 2\nc 3\n"))
         ranks = [store.lookup(w)[1] for w in ("a", "b", "c")]
         assert sorted(ranks) == [1, 2, 3]
 
@@ -109,7 +109,7 @@ class TestLoadVectors:
         text = f"{len(rows)} 3\n" + "".join(
             w + " " + " ".join(f"{x:.6f}" for x in row) + "\n" for w, row in zip(words, rows)
         )
-        store = load_vectors(io.StringIO(text))
+        store = load_vectors(text_file(text))
         for word, row in zip(words, rows):
             vector, _ = store.lookup(word)
             assert np.all(np.abs(vector - np.round(np.asarray(row), 6)) <= 1e-6)
@@ -117,7 +117,7 @@ class TestLoadVectors:
 
 def reference_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
     """Row-at-a-time loader: one _parse_row call per line, in file order, up to the header's row count."""
-    lines = iter_lines(io.StringIO(text))
+    lines = iter_lines(text_file(text))
     count, dim = _parse_header(next(lines, None))
     words, rows, seen_raw, seen_keys = [], [], set(), set()
     read = 0
@@ -143,7 +143,7 @@ def reference_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
 
 
 def block_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
-    store = load_vectors(io.StringIO(text))
+    store = load_vectors(text_file(text))
     return store.words, store.matrix
 
 
@@ -207,14 +207,14 @@ class TestBlockReaderParity:
     def test_earlier_bad_component_is_reported_first(self, line5):
         text = f"4 2\nrock 1 0\npop x 0\njazz 0 1\n{line5}\n"
         with pytest.raises(VectorFormatError, match="^line 3: non-numeric"):
-            load_vectors(io.StringIO(text))
+            load_vectors(text_file(text))
 
     def test_duplicate_word_row_is_parsed_before_the_duplicate_is_reported(self):
         with pytest.raises(VectorFormatError, match="^line 3: expected 2 components"):
-            load_vectors(io.StringIO("2 2\nrock 1 0\nrock 1\n"))
+            load_vectors(text_file("2 2\nrock 1 0\nrock 1\n"))
 
     def test_float_only_numerals_keep_their_values(self):
-        store = load_vectors(io.StringIO("2 2\nrock 1_0 \u0661\npop 0.5 -0.0\n"))
+        store = load_vectors(text_file("2 2\nrock 1_0 \u0661\npop 0.5 -0.0\n"))
         np.testing.assert_array_equal(store.matrix, [[10.0, 1.0], [0.5, -0.0]])
 
     def test_clean_file_is_parsed_without_the_per_row_path(self, monkeypatch):
@@ -222,7 +222,7 @@ class TestBlockReaderParity:
             raise AssertionError("per-row fallback used on a clean file")
 
         monkeypatch.setattr(wordvec, "_parse_row", per_row)
-        store = load_vectors(io.StringIO("3 2\nRock 1 0\nrock 2 2\npop 0.25 1e-300\n"))
+        store = load_vectors(text_file("3 2\nRock 1 0\nrock 2 2\npop 0.25 1e-300\n"))
         assert store.words == ["rock", "pop"]
         np.testing.assert_array_equal(store.matrix, [[1.0, 0.0], [0.25, 1e-300]])
 
@@ -249,7 +249,7 @@ class TestEstimateFrequency:
 
 class TestVectorSpace:
     def test_mixed_dimensions_rejected(self):
-        a = load_vectors(io.StringIO("1 2\nx 1 0\n"))
-        b = load_vectors(io.StringIO("1 3\ny 1 0 0\n"))
+        a = load_vectors(text_file("1 2\nx 1 0\n"))
+        b = load_vectors(text_file("1 3\ny 1 0 0\n"))
         with pytest.raises(ValueError, match="dimensionality"):
             VectorSpace({"en": a, "fr": b})
