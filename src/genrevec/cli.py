@@ -100,8 +100,7 @@ class PipelineConfig:
         except TypeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         config._validate()
-        # Relative paths resolve against the config file's directory; an empty lemma_table means none.
-        config.lemma_table = config.lemma_table or None
+        # Relative paths resolve against the config file's directory.
         config.vectors = {lang: _resolve(path.parent, p) for lang, p in config.vectors.items()}
         for key in ("graph_nodes", "graph_edges", "corpus", "workdir", "lemma_table"):
             if getattr(config, key) is not None:
@@ -172,7 +171,7 @@ def _load_paired_matrix(matrix_path: Path, graph_path: Path) -> tuple[ConceptEmb
 
 def cmd_build_graph(config: PipelineConfig) -> Path:
     """Load, filter, and attach tag systems; write the merged graph."""
-    lemma = load_lemma_table(config.lemma_table) if config.lemma_table else {}
+    lemma = load_lemma_table(config.lemma_table) if config.lemma_table is not None else {}
     graph = load_graph(config.graph_nodes, config.graph_edges, lemma)
     logger.info("loaded graph: %d nodes, %d edges", graph.node_count, graph.edge_count)
     if config.high_confidence is not None:
@@ -190,9 +189,6 @@ def cmd_build_graph(config: PipelineConfig) -> Path:
     corpus = load_corpus(config.corpus, min_tag_count=config.min_tag_count)
     for system in config.tag_systems:
         tags = corpus.system_vocabulary(system.name)
-        if not tags:
-            systems = list(corpus.systems)
-            raise ConfigError(f"tag system {system.name!r} has no tags in the corpus, whose systems are {systems}")
         graph = attach_tag_system(graph, system.name, tags, system.language)
         logger.info("attached %d tags for system %r", len(tags), system.name)
     destination = _artifact(config, "graph.json")

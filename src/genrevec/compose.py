@@ -34,7 +34,8 @@ class ConceptEmbeddingMatrix:
     `known[i]` is True iff at least one constituent word of concept i was
     found in the word-vector vocabulary. Freshly composed matrices hold the
     zero vector for unknown concepts. Both arrays are read-only after
-    construction, so what is derived from them can be memoized.
+    construction, so what is derived from them can be memoized. A repeated
+    concept id raises ValueError naming the first id met a second time.
     """
 
     concepts: list[str]
@@ -56,7 +57,9 @@ class ConceptEmbeddingMatrix:
             raise ValueError(f"known shape {self.known.shape} does not match {n} concepts")
         self._index = {cid: i for i, cid in enumerate(self.concepts)}
         if len(self._index) != n:
-            raise ValueError("duplicate concept identifiers")
+            first: dict[str, int] = {}
+            repeated = next(cid for i, cid in enumerate(self.concepts) if first.setdefault(cid, i) != i)
+            raise ValueError(f"duplicate concept id {repeated!r}")
 
     @property
     def dim(self) -> int:
@@ -249,8 +252,9 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     """Read a concept matrix written by :func:`save_matrix`; returns (matrix, metadata).
 
     Any file that is not such an archive, such as a text matrix of an older
-    version, and any array of the wrong type or shape, non-finite component
-    or repeated concept id raises :class:`VectorFormatError` naming `path`.
+    version, any array of the wrong type or shape or non-finite component,
+    and any matrix the constructor rejects (a repeated concept id) raises
+    :class:`VectorFormatError` naming `path`.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -288,10 +292,7 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise VectorFormatError(f"{path}: non-finite vector component for concept {concepts[np.argmin(finite)]!r}")
-    if len(set(concepts)) != n:
-        seen: set[str] = set()
-        for cid in concepts:
-            if cid in seen:
-                raise VectorFormatError(f"{path}: duplicate concept id {cid!r}")
-            seen.add(cid)
-    return ConceptEmbeddingMatrix(concepts=concepts, vectors=vectors, known=known), metadata
+    try:
+        return ConceptEmbeddingMatrix(concepts=concepts, vectors=vectors, known=known), metadata
+    except ValueError as exc:
+        raise VectorFormatError(f"{path}: {exc}") from None

@@ -56,8 +56,11 @@ class ParallelCorpus:
         return len(self.items)
 
     def system_vocabulary(self, system: str) -> list[str]:
-        """Sorted distinct tags of one system across the corpus."""
-        return sorted({tag for item in self.items for tag in item.tags(system)})
+        """Sorted distinct tags of one system across the corpus; ValueError if it has none."""
+        vocabulary = sorted({tag for item in self.items for tag in item.tags(system)})
+        if not vocabulary:
+            raise ValueError(f"tag system {system!r} has no tags in the corpus, whose systems are {list(self.systems)}")
+        return vocabulary
 
     def tag_counts(self) -> dict[tuple[str, str], int]:
         counts: dict[tuple[str, str], int] = {}
@@ -349,7 +352,8 @@ def evaluate(
     each tag with both a positive and a negative item yields an AUC, and
     the fold's macro average runs over those tags. Tags degenerate in a fold
     are excluded from its average. `scorer` is "sum", "avg", or "baseline",
-    scored for all items in one :func:`score_sets` call.
+    scored for all items in one :func:`score_sets` call. A target or source
+    system with no corpus tags raises (:meth:`ParallelCorpus.system_vocabulary`).
     """
     source_systems = list(source_systems)
     if not source_systems:
@@ -357,11 +361,8 @@ def evaluate(
     if target_system in source_systems:
         raise ValueError(f"target system {target_system!r} cannot also be a source")
     vocabulary = corpus.system_vocabulary(target_system)
-    if not vocabulary:
-        raise ValueError(f"no tags observed for target system {target_system!r}")
     for system in source_systems:
-        if not any(item.tags(system) for item in corpus.items):
-            raise ValueError(f"no tags observed for source system {system!r}")
+        corpus.system_vocabulary(system)  # raises for a system with no corpus tags
     target_ids = [tag_node_id(target_system, tag) for tag in vocabulary]
 
     eligible = [

@@ -301,7 +301,7 @@ class GenreGraph:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "GenreGraph":
-        """Inverse of :meth:`to_dict`; GraphFormatError names a missing key or a value of the wrong type."""
+        """Inverse of :meth:`to_dict`; GraphFormatError names what is malformed, with the record's index."""
         if not isinstance(payload, Mapping):
             raise GraphFormatError(f"expected a JSON object, got {_kind(payload)}")
         missing = next((key for key in ("nodes", "edges") if key not in payload), None)
@@ -330,6 +330,8 @@ class GenreGraph:
                 graph.add_edge(record["src"], record["dst"], record["rel"])
         except KeyError as exc:
             raise GraphFormatError(f"{section}[{index}]: missing key {exc.args[0]!r}") from None
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{section}[{index}]: {exc}") from None
         except TypeError as exc:
             raise GraphFormatError(f"{section}[{index}]: malformed record {record!r} ({exc})") from None
         return graph
@@ -358,8 +360,8 @@ def _rough_tokens(label: str) -> list[str]:
 
 
 def has_tokens(tag: str) -> bool:
-    """Whether `tag` has alphanumeric content: :func:`normalize_tag` rejects it, and
-    :func:`attach_tag_system` skips it, when it has none."""
+    """Whether `tag` has alphanumeric content: :func:`normalize_tag` (so also
+    :func:`attach_tag_system`) rejects it when it has none."""
     return bool(_rough_tokens(tag))
 
 
@@ -439,31 +441,20 @@ def attach_tag_system(
     Each tag becomes a node with id "<system>:<tag>", normalized against the
     graph's word vocabulary. A tag whose token sequence equals that of an
     already present node of the same language gains a sameAs edge to it.
-    Unmatched tags simply remain isolated; tags with no alphanumeric content
-    are skipped with a warning.
+    Unmatched tags remain isolated, and a repeated tag is attached once. A tag
+    with no alphanumeric content raises ValueError; ``load_corpus`` drops those.
     """
     out = graph.copy()
     by_shape: dict[tuple[str, tuple[str, ...]], list[str]] = {}
     for node in graph.nodes.values():
         by_shape.setdefault((node.language, node.tokens), []).append(node.id)
 
-    seen: set[str] = set()
-    skipped = 0
-    for raw in tags:
-        if raw in seen:
-            continue
-        seen.add(raw)
+    for raw in dict.fromkeys(tags):
         node_id = tag_node_id(system_name, raw)
-        try:
-            tokens = tuple(normalize_tag(raw, graph.word_vocabulary))
-        except ValueError:
-            skipped += 1
-            continue
+        tokens = tuple(normalize_tag(raw, graph.word_vocabulary))
         out.add_node(GenreNode(id=node_id, language=language, raw_label=raw, tokens=tokens, system=system_name))
         for match in sorted(by_shape.get((language, tokens), [])):
             out.add_edge(node_id, match, "sameAs")
-    if skipped:
-        logger.warning("skipped %d %r tags with no alphanumeric content", skipped, system_name)
     return out
 
 

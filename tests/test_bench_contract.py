@@ -7,14 +7,18 @@ disappear without this test failing. The serve-phase test sends the smoke
 dataset's queries through the harness and its per-query checks, so a wrong
 score or ranking fails here rather than only in a benchmark run; it also
 checks that ranking ties break lexicographically, which the harness's
-checks do not.
+checks do not. A tag system with no corpus tags is rejected by the harness's
+pipeline too, through the library call that owns that rule.
 """
 
 import importlib
 import json
+import re
 from pathlib import Path
 
-from genrevec.cli import PipelineConfig
+import pytest
+
+from genrevec.cli import PipelineConfig, TagSystemSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +67,19 @@ def test_served_queries_pass_the_benchmark_checks(tmp_path, monkeypatch):
                 misranked.append((scorer, sources))
     assert problems == []
     assert misranked == []
+
+
+def test_pipeline_rejects_a_tag_system_without_corpus_tags(tmp_path, monkeypatch):
+    # the rule is checked by the library function the harness calls, not by a CLI command
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, pipeline = (importlib.import_module(name) for name in ("gen", "pipeline"))
+    gen.generate(tmp_path, gen.WORKLOADS["smoke"], 1)
+    config = PipelineConfig.from_file(tmp_path / "config.json")
+    config.tag_systems.append(TagSystemSpec(name="xx", language="en"))
+    tracer = pipeline.Tracer(enabled=False)
+    inputs = pipeline.load_inputs(config, tracer)
+    message = f"tag system 'xx' has no tags in the corpus, whose systems are {list(inputs.corpus.systems)}"
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline.run_pipeline(config, inputs, workdir, tracer)

@@ -364,7 +364,7 @@ class TestErrors:
             ([1, 2], "expected a JSON object, got list"),
             ({"vocabulary": [], "nodes": [], "edges": None}, "'edges' must be a list, got null"),
             ({"nodes": [{"id": "en:Rock", "lang": "en", "label": "Rock", "tokens": "rock"}], "edges": []},
-             "node 'en:Rock': tokens must be a list of non-empty strings, got 'rock'"),
+             "nodes[0]: node 'en:Rock': tokens must be a list of non-empty strings, got 'rock'"),
         ],
     )
     def test_malformed_graph_artifact_rejected(self, tmp_path, capsys, payload, message):
@@ -409,6 +409,17 @@ class TestErrors:
             assert capsys.readouterr().err == f"error: {message}, so none of its tags is attached\n", stage
         assert not (tmp_path / "data" / "out").exists()
 
+    def test_empty_lemma_table_path_is_an_unreadable_path(self, tmp_path, capsys):
+        # null or an omitted key means no lemma table; "" is a path like any other
+        paths = write_demo_dataset(tmp_path / "data")
+        edit_config(paths["config"], lemma_table="")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(tmp_path / "data")) in err
+        assert not (tmp_path / "data" / "out" / "graph.json").exists()
+        edit_config(paths["config"], lemma_table=None)
+        assert main(["build-graph", "--config", str(paths["config"])]) == 0
+
     def test_tag_system_without_corpus_tags_rejected_before_graph_is_written(self, tmp_path, capsys):
         paths = write_demo_dataset(tmp_path / "data")
         systems = [{"name": "en", "language": "en"}, {"name": "fr", "language": "fr"}, {"name": "de", "language": "en"}]
@@ -445,7 +456,9 @@ class TestErrors:
         edited = root / "config_unknown_source.json"
         edited.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["evaluate", "--config", str(edited)]) == 2
-        assert capsys.readouterr().err == "error: no tags observed for source system 'xx'\n"
+        assert capsys.readouterr().err == (
+            "error: tag system 'xx' has no tags in the corpus, whose systems are ['en', 'fr']\n"
+        )
 
     def test_translate_without_graph_artifact(self, tmp_path, capsys):
         root = tmp_path / "fresh"

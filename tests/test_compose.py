@@ -440,6 +440,11 @@ class TestMatrixSerialization:
         with pytest.raises(VectorFormatError, match=f"^{path}: duplicate concept id 'jazz'$"):
             load_matrix(path)
 
+    def test_constructor_names_the_first_repeated_id(self):
+        # reading in order, 'b' is the first id met a second time, though 'a' occurs first
+        with pytest.raises(ValueError, match="^duplicate concept id 'b'$"):
+            ConceptEmbeddingMatrix(["a", "b", "b", "a"], np.zeros((4, 2)), np.ones(4, dtype=bool))
+
     def test_unreadable_member_rejected(self, tmp_path):
         path = tmp_path / "matrix.npz"
         write_archive(path, concepts=np.array(["c0", "c1", "c2"], dtype=object))  # needs pickle to read

@@ -86,6 +86,16 @@ class TestLoadCorpus:
         corpus = load_corpus(corpus_lines(records), min_tag_count=4)
         assert len(corpus) == 4
 
+    def test_system_vocabulary_of_a_system_without_tags_rejected(self):
+        corpus = load_corpus(corpus_lines([
+            {"id": "a", "annotations": {"en": ["Rock", "Pop"], "fr": ["Rock"]}},
+        ]), min_tag_count=0)
+        assert corpus.system_vocabulary("en") == ["Pop", "Rock"]
+        with pytest.raises(ValueError, match=re.escape(
+            "tag system 'de' has no tags in the corpus, whose systems are ['en', 'fr']"
+        )):
+            corpus.system_vocabulary("de")
+
     def test_duplicate_item_id_rejected(self):
         with pytest.raises(CorpusFormatError, match="line 2.*duplicate"):
             load_corpus(corpus_lines([
@@ -505,6 +515,14 @@ class TestEvaluate:
         fake_scores(monkeypatch, constant(0.5))
         with pytest.raises(ValueError, match=f"'item0003' is assigned to fold {fold}, outside 0..3"):
             evaluate(corpus, folds, "tgt", ["src"])
+
+    @pytest.mark.parametrize("target, sources", [("xx", ["src"]), ("tgt", ["xx"]), ("tgt", ["src", "xx"])])
+    def test_system_without_corpus_tags_rejected(self, monkeypatch, target, sources):
+        corpus = synthetic_corpus(40, seed=1)
+        fake_scores(monkeypatch, constant(0.5))
+        message = "tag system 'xx' has no tags in the corpus, whose systems are ['src', 'tgt']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(corpus, self.folds_for(corpus), target, sources)
 
     def test_target_cannot_be_source(self, monkeypatch):
         corpus = synthetic_corpus(20, seed=0)

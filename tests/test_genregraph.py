@@ -154,6 +154,7 @@ EDGES = """\
 
 # one valid graph.json node record
 SAVED_NODE = {"id": "n1", "lang": "en", "label": "Rock", "tokens": ["rock"], "system": None}
+SAVED_EDGE = {"src": "n1", "dst": "n2", "rel": "sameAs"}
 
 
 def small_graph():
@@ -262,18 +263,23 @@ class TestLoadGraph:
             ({"nodes": []}, "missing key 'edges'"),
             ({"nodes": ["en:Rock"], "edges": []}, "nodes[0]: malformed record 'en:Rock'"),
             ({"nodes": [], "edges": [{"src": "a", "dst": "b"}]}, "edges[0]: missing key 'rel'"),
-            ({"nodes": [{**SAVED_NODE, "lang": 5}], "edges": []}, "node 'n1': invalid language code 5"),
-            ({"nodes": [{**SAVED_NODE, "label": None}], "edges": []}, "node 'n1': invalid label None"),
-            ({"nodes": [{**SAVED_NODE, "id": ""}], "edges": []}, "invalid id ''"),
-            ({"nodes": [{**SAVED_NODE, "system": 7}], "edges": []}, "node 'n1': invalid system 7"),
+            ({"nodes": [{**SAVED_NODE, "lang": 5}], "edges": []}, "nodes[0]: node 'n1': invalid language code 5"),
+            ({"nodes": [{**SAVED_NODE, "label": None}], "edges": []}, "nodes[0]: node 'n1': invalid label None"),
+            ({"nodes": [{**SAVED_NODE, "id": ""}], "edges": []}, "nodes[0]: invalid id ''"),
+            ({"nodes": [{**SAVED_NODE, "system": 7}], "edges": []}, "nodes[0]: node 'n1': invalid system 7"),
             ({"nodes": [{**SAVED_NODE, "tokens": [1, 2]}], "edges": []},
-             "node 'n1': tokens must be a list of non-empty strings, got [1, 2]"),
+             "nodes[0]: node 'n1': tokens must be a list of non-empty strings, got [1, 2]"),
             ({"nodes": [{**SAVED_NODE, "tokens": [""]}], "edges": []},
-             "node 'n1': tokens must be a list of non-empty strings, got ['']"),
+             "nodes[0]: node 'n1': tokens must be a list of non-empty strings, got ['']"),
             ({"nodes": [{**SAVED_NODE, "tokens": "rock"}], "edges": []},  # not the tokens r, o, c, k
-             "node 'n1': tokens must be a list of non-empty strings, got 'rock'"),
+             "nodes[0]: node 'n1': tokens must be a list of non-empty strings, got 'rock'"),
             ({"vocabulary": ["rock", 1, None], "nodes": [], "edges": []}, "vocabulary[1]: expected a string, got int"),
-            ({"nodes": [{**SAVED_NODE, "lang": "en\n"}], "edges": []}, "node 'n1': invalid language code 'en\\n'"),
+            ({"nodes": [{**SAVED_NODE, "lang": "en\n"}], "edges": []},
+             "nodes[0]: node 'n1': invalid language code 'en\\n'"),
+            ({"nodes": [SAVED_NODE, {**SAVED_NODE, "id": "n2"}], "edges": [SAVED_EDGE, {**SAVED_EDGE, "rel": "bogus"}]},
+             "edges[1]: unknown relation 'bogus'"),
+            ({"nodes": [SAVED_NODE, {**SAVED_NODE, "id": "n2"}], "edges": [SAVED_EDGE, {**SAVED_EDGE, "dst": "zz"}]},
+             "edges[1]: edge references missing node 'zz'"),
         ],
     )
     def test_malformed_saved_graph_names_file_and_problem(self, tmp_path, payload, message):
@@ -293,7 +299,9 @@ class TestLoadGraph:
         payload = small_graph().to_dict()
         payload["edges"].append({"src": payload["nodes"][0]["id"], "dst": "nowhere", "rel": "sameAs"})
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(GraphFormatError, match=re.escape(f"{path}: edge references missing node 'nowhere'")):
+        index = len(payload["edges"]) - 1
+        message = f"{path}: edges[{index}]: edge references missing node 'nowhere'"
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
             load_saved_graph(path)
 
     @pytest.mark.parametrize(
@@ -457,11 +465,10 @@ class TestAttachTagSystem:
         attached = attach_tag_system(small_graph(), "sys", ["crunk", "crunk"], "en")
         assert len(attached.system_tags("sys")) == 1
 
-    def test_unnormalizable_tag_skipped_with_warning(self, caplog):
-        with caplog.at_level("WARNING"):
-            attached = attach_tag_system(small_graph(), "sys", ["---"], "en")
-        assert attached.node_count == small_graph().node_count
-        assert "alphanumeric" in caplog.text
+    def test_unnormalizable_tag_rejected(self):
+        # load_corpus drops such tags; a caller that passes one gets the error
+        with pytest.raises(ValueError, match=re.escape("tag '---' has no alphanumeric content")):
+            attach_tag_system(small_graph(), "sys", ["Jazz", "---"], "en")
 
     def test_attaching_a_system_twice_rejected(self):
         once = attach_tag_system(small_graph(), "sys", ["Jazz"], "en")
