@@ -101,10 +101,10 @@ class PipelineConfig:
             raise ConfigError(f"{path}: {exc}") from None
         config._validate()
         # Relative paths resolve against the config file's directory.
-        config.vectors = {lang: _resolve(path.parent, p) for lang, p in config.vectors.items()}
+        config.vectors = {lang: _resolve(path.parent, f"vectors.{lang}", p) for lang, p in config.vectors.items()}
         for key in ("graph_nodes", "graph_edges", "corpus", "workdir", "lemma_table"):
             if getattr(config, key) is not None:
-                setattr(config, key, _resolve(path.parent, getattr(config, key)))
+                setattr(config, key, _resolve(path.parent, key, getattr(config, key)))
         return config
 
     def _validate(self) -> None:
@@ -136,7 +136,9 @@ class PipelineConfig:
         return RetrofitConfig(scheme=self.scheme, tolerance=self.tolerance, max_iters=self.max_iters)
 
 
-def _resolve(base: Path, value: str) -> str:
+def _resolve(base: Path, key: str, value: str) -> str:
+    if not value:  # Path("") is the current directory, which would resolve to `base` itself
+        raise ConfigError(f"config key {key!r} must not be an empty path")
     p = Path(value)
     return str(p if p.is_absolute() else base / p)
 

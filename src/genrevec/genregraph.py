@@ -13,6 +13,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -135,63 +136,33 @@ class GenreEdge(NamedTuple):
 class GenreGraph:
     """Typed genre graph: directed edge storage over an undirected adjacency.
 
-    Nodes keep insertion order, and so do edges, each its own key in one
-    dict. Edges are stored as read (direction retained for fidelity). The
-    first read of the structure caches a table of (src position, dst
-    position, relation code) rows and, built from it, one symmetric 0/1
-    sparse adjacency, which components and paths read. The graph also
-    holds an opaque ``_target_memo`` slot, which translation fills with
-    what it derives from the graph for one target list. Every change to
-    the graph (``add_node``, ``add_edge``) drops the table, the adjacency
-    and the memo; a copy starts without them. The word
-    vocabulary (the node labels' words and their lemmas, see
-    :func:`load_graph`) is kept so that attached tags split against it.
+    A graph never changes once built. ``GenreGraph()`` is the empty graph,
+    :meth:`from_dict` builds one from records in memory, and the loaders
+    (:func:`load_graph`, :func:`filter_graph`, :func:`attach_tag_system`)
+    each return a new one. Nodes keep insertion order, and so do edges, each
+    its own key in one dict. Edges are stored as read (direction retained
+    for fidelity). The first read of the structure caches a table of (src
+    position, dst position, relation code) rows and, built from it, one
+    symmetric 0/1 sparse adjacency, which components and paths read; an
+    opaque ``_target_memo`` slot holds what translation derives from the
+    graph for one target list. The word vocabulary (the node labels' words
+    and their lemmas, see :func:`load_graph`) splits attached tags.
     """
 
-    def __init__(self, word_vocabulary: Iterable[str] = ()):
+    def __init__(self):
         self._nodes: dict[str, GenreNode] = {}
         self._edges: dict[GenreEdge, None] = {}
         # node ids in insertion order, id -> position, the read-only edge table, and the adjacency
         self._cache: tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix] | None = None
         self._target_memo = None  # kept by translation, see genrevec.translate.TargetMemo
-        self.word_vocabulary = frozenset(word_vocabulary)
+        self.word_vocabulary: frozenset[str] = frozenset()
 
-    # -- construction -----------------------------------------------------
-
-    def add_node(self, node: GenreNode) -> None:
-        if node.id in self._nodes:
-            raise GraphFormatError(f"duplicate node id {node.id!r}")
-        self._nodes[node.id] = node
-        self._cache = self._target_memo = None
-
-    def add_edge(self, src: str, dst: str, relation: str) -> bool:
-        """Add a typed edge; returns False for an exact duplicate."""
-        edge = self._checked_edge(src, dst, relation)
-        if src == dst:
-            raise GraphFormatError(f"self-loop on node {src!r}")
-        if edge in self._edges:
-            return False
-        self._edges[edge] = None
-        self._cache = self._target_memo = None
-        return True
-
-    def _checked_edge(self, src, dst, relation) -> GenreEdge:
-        """The edge, or GraphFormatError unless its fields are strings, the relation known and both nodes present."""
-        if not (isinstance(src, str) and isinstance(dst, str) and isinstance(relation, str)):
-            raise GraphFormatError(f"edge src, dst and relation must be strings, got {src!r}, {dst!r}, {relation!r}")
-        if relation not in RELATIONS:
-            raise GraphFormatError(f"unknown relation {relation!r}")
-        if src not in self._nodes:
-            raise GraphFormatError(f"edge references missing node {src!r}")
-        if dst not in self._nodes:
-            raise GraphFormatError(f"edge references missing node {dst!r}")
-        return GenreEdge(src, dst, relation)
-
-    def copy(self) -> "GenreGraph":
-        out = GenreGraph(self.word_vocabulary)
-        out._nodes = dict(self._nodes)
-        out._edges = dict(self._edges)
-        return out
+    @classmethod
+    def _assembled(cls, nodes: dict, edges: dict, word_vocabulary: Iterable[str]) -> "GenreGraph":
+        """The graph of these nodes and edges, which the caller has checked; the one way a graph gets content."""
+        graph = cls()
+        graph._nodes, graph._edges, graph.word_vocabulary = nodes, edges, frozenset(word_vocabulary)
+        return graph
 
     def _structure(self) -> tuple[list[str], dict[str, int], np.ndarray, sparse.csr_matrix]:
         if self._cache is None:
@@ -232,7 +203,7 @@ class GenreGraph:
 
     @property
     def nodes(self) -> Mapping[str, GenreNode]:
-        return self._nodes
+        return MappingProxyType(self._nodes)
 
     @property
     def edges(self) -> tuple[GenreEdge, ...]:
@@ -301,7 +272,9 @@ class GenreGraph:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "GenreGraph":
-        """Inverse of :meth:`to_dict`; GraphFormatError names what is malformed, with the record's index."""
+        """The graph of records in memory, the inverse of :meth:`to_dict`; a repeated edge record is kept once.
+
+        GraphFormatError names what is malformed, with the record's index."""
         if not isinstance(payload, Mapping):
             raise GraphFormatError(f"expected a JSON object, got {_kind(payload)}")
         missing = next((key for key in ("nodes", "edges") if key not in payload), None)
@@ -314,11 +287,12 @@ class GenreGraph:
         stray = next((i for i, word in enumerate(vocabulary) if not isinstance(word, str)), None)
         if stray is not None:
             raise GraphFormatError(f"vocabulary[{stray}]: expected a string, got {_kind(vocabulary[stray])}")
-        graph = cls(vocabulary)
+        nodes: dict[str, GenreNode] = {}
+        edges: dict[GenreEdge, None] = {}
         section = "nodes"
         try:
             for index, record in enumerate(payload["nodes"]):
-                graph.add_node(GenreNode(
+                _put_node(nodes, GenreNode(
                     id=record["id"],
                     language=record["lang"],
                     raw_label=record["label"],
@@ -327,14 +301,37 @@ class GenreGraph:
                 ))
             section = "edges"
             for index, record in enumerate(payload["edges"]):
-                graph.add_edge(record["src"], record["dst"], record["rel"])
+                edge = _checked_edge(nodes, record["src"], record["dst"], record["rel"])
+                if edge.src == edge.dst:
+                    raise GraphFormatError(f"self-loop on node {edge.src!r}")
+                edges[edge] = None
         except KeyError as exc:
             raise GraphFormatError(f"{section}[{index}]: missing key {exc.args[0]!r}") from None
         except GraphFormatError as exc:
             raise GraphFormatError(f"{section}[{index}]: {exc}") from None
         except TypeError as exc:
             raise GraphFormatError(f"{section}[{index}]: malformed record {record!r} ({exc})") from None
-        return graph
+        return cls._assembled(nodes, edges, vocabulary)
+
+
+def _put_node(nodes: dict[str, GenreNode], node: GenreNode) -> None:
+    """Add `node` to `nodes`; GraphFormatError if its id is already there."""
+    if node.id in nodes:
+        raise GraphFormatError(f"duplicate node id {node.id!r}")
+    nodes[node.id] = node
+
+
+def _checked_edge(nodes: Mapping[str, GenreNode], src, dst, relation) -> GenreEdge:
+    """The edge, or GraphFormatError unless its fields are strings, the relation known and both ends in `nodes`."""
+    if not (isinstance(src, str) and isinstance(dst, str) and isinstance(relation, str)):
+        raise GraphFormatError(f"edge src, dst and relation must be strings, got {src!r}, {dst!r}, {relation!r}")
+    if relation not in RELATIONS:
+        raise GraphFormatError(f"unknown relation {relation!r}")
+    if src not in nodes:
+        raise GraphFormatError(f"edge references missing node {src!r}")
+    if dst not in nodes:
+        raise GraphFormatError(f"edge references missing node {dst!r}")
+    return GenreEdge(src, dst, relation)
 
 
 def _kind(value) -> str:
@@ -381,26 +378,25 @@ def load_graph(
     warning) or an exact duplicate.
     """
     lemma_table = lemma_table or {}
-    graph = GenreGraph()
+    nodes: dict[str, GenreNode] = {}
     vocabulary: set[str] = set()
     for lineno, record in iter_json_objects(nodes_source, "nodes", GraphFormatError):
         try:
             node_id, lang, label = record["id"], record["lang"], record["label"]
             tokens = _rough_tokens(label) if isinstance(label, str) else ()  # GenreNode names a non-string label
-            graph.add_node(GenreNode(id=node_id, language=lang, raw_label=label, tokens=tokens))
+            _put_node(nodes, GenreNode(id=node_id, language=lang, raw_label=label, tokens=tokens))
         except KeyError as exc:
             raise GraphFormatError(f"nodes line {lineno}: missing key {exc.args[0]!r}") from None
         except GraphFormatError as exc:
             raise GraphFormatError(f"nodes line {lineno}: {exc}") from None
         vocabulary.update(tokens)
         vocabulary.update(lemma for lemma in map(lemma_table.get, tokens) if lemma)
-    graph.word_vocabulary = frozenset(vocabulary)
 
     edges: dict[GenreEdge, None] = {}
     dropped_loops = 0
     for lineno, record in iter_json_objects(edges_source, "edges", GraphFormatError):
         try:
-            edge = graph._checked_edge(record["src"], record["dst"], record["rel"])
+            edge = _checked_edge(nodes, record["src"], record["dst"], record["rel"])
         except KeyError as exc:
             raise GraphFormatError(f"edges line {lineno}: missing key {exc.args[0]!r}") from None
         except GraphFormatError as exc:
@@ -409,10 +405,9 @@ def load_graph(
             dropped_loops += 1
         else:
             edges[edge] = None
-    graph._edges = edges  # every edge checked above; the graph had none and has cached nothing
     if dropped_loops:
         logger.warning("dropped %d self-loop edges", dropped_loops)
-    return graph
+    return GenreGraph._assembled(nodes, edges, vocabulary)
 
 
 def filter_graph(graph: GenreGraph, high_confidence: Iterable[str]) -> GenreGraph:
@@ -422,12 +417,13 @@ def filter_graph(graph: GenreGraph, high_confidence: Iterable[str]) -> GenreGrap
     for component in graph.connected_components():
         if component & wanted:
             keep |= component
-    out = GenreGraph(graph.word_vocabulary)
-    out._nodes = {nid: node for nid, node in graph._nodes.items() if nid in keep}
     # a kept component holds both ends of each of its edges, and the source graph
     # already validated every node and edge, so nothing is checked again
-    out._edges = {edge: None for edge in graph._edges if edge.src in keep}
-    return out
+    return GenreGraph._assembled(
+        {nid: node for nid, node in graph._nodes.items() if nid in keep},
+        {edge: None for edge in graph._edges if edge.src in keep},
+        graph.word_vocabulary,
+    )
 
 
 def attach_tag_system(
@@ -444,7 +440,7 @@ def attach_tag_system(
     Unmatched tags remain isolated, and a repeated tag is attached once. A tag
     with no alphanumeric content raises ValueError; ``load_corpus`` drops those.
     """
-    out = graph.copy()
+    nodes, edges = dict(graph._nodes), dict(graph._edges)
     by_shape: dict[tuple[str, tuple[str, ...]], list[str]] = {}
     for node in graph.nodes.values():
         by_shape.setdefault((node.language, node.tokens), []).append(node.id)
@@ -452,10 +448,11 @@ def attach_tag_system(
     for raw in dict.fromkeys(tags):
         node_id = tag_node_id(system_name, raw)
         tokens = tuple(normalize_tag(raw, graph.word_vocabulary))
-        out.add_node(GenreNode(id=node_id, language=language, raw_label=raw, tokens=tokens, system=system_name))
+        _put_node(nodes, GenreNode(id=node_id, language=language, raw_label=raw, tokens=tokens, system=system_name))
+        # the new node has no edges yet and is none of the matches, so each edge is new and no self-loop
         for match in sorted(by_shape.get((language, tokens), [])):
-            out.add_edge(node_id, match, "sameAs")
-    return out
+            edges[GenreEdge(node_id, match, "sameAs")] = None
+    return GenreGraph._assembled(nodes, edges, graph.word_vocabulary)
 
 
 def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:

@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
-from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, GenreNode, hop_counts, tag_node_id
+from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, hop_counts, tag_node_id
 from genrevec.retrofit import RetrofitConfig, RetrofitResult, _check_alignment, _objective, _strength, _weights
 from genrevec.translate import TargetMemo, TranslationResult, _memo, cosine
 from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
@@ -63,32 +63,41 @@ def one_language(tokens_per_concept: dict, store: WordVectorStore, language: str
     return tokens_per_concept, VectorSpace({language: store}), dict.fromkeys(tokens_per_concept, language)
 
 
+def _bare_node(node_id: str, language: str = "en") -> dict:
+    """Node record of `bare_graph`: the id as label, and one token, its alphanumerics lowercased."""
+    token = "".join(ch for ch in node_id.lower() if ch.isalnum()) or "x"
+    return {"id": node_id, "lang": language, "label": node_id, "tokens": [token]}
+
+
+def _edge_records(edges: Iterable[tuple[str, str, str]]) -> list[dict]:
+    return [{"src": src, "dst": dst, "rel": relation} for src, dst, relation in edges]
+
+
 def bare_graph(node_ids: list[str], edges: list[tuple[str, str, str]], language: str = "en") -> GenreGraph:
     """Graph with synthetic single-token nodes, for retrofit/path tests."""
-    graph = GenreGraph()
-    for node_id in node_ids:
-        token = "".join(ch for ch in node_id.lower() if ch.isalnum()) or "x"
-        graph.add_node(GenreNode(id=node_id, language=language, raw_label=node_id, tokens=(token,)))
-    for src, dst, relation in edges:
-        graph.add_edge(src, dst, relation)
-    return graph
+    nodes = [_bare_node(node_id, language) for node_id in node_ids]
+    return GenreGraph.from_dict({"nodes": nodes, "edges": _edge_records(edges)})
+
+
+def extended_graph(graph: GenreGraph, node_ids: Sequence[str] = (), edges: Sequence[tuple] = ()) -> GenreGraph:
+    """A new graph from `graph`'s records, then `bare_graph`'s English nodes of `node_ids`, then `edges`."""
+    payload = graph.to_dict()
+    payload["nodes"] += [_bare_node(node_id) for node_id in node_ids]
+    payload["edges"] += _edge_records(edges)
+    return GenreGraph.from_dict(payload)
 
 
 def rebuilding_filter_graph(graph: GenreGraph, high_confidence) -> GenreGraph:
-    """Frozen copy of the former `filter_graph`, which rebuilt the kept graph through `add_node`/`add_edge`."""
+    """Oracle of `filter_graph`: `GenreGraph.from_dict` over the records of the kept components."""
     wanted = set(high_confidence)
     keep: set[str] = set()
     for component in graph.connected_components():
         if component & wanted:
             keep |= component
-    out = GenreGraph(graph.word_vocabulary)
-    for node in graph.nodes.values():
-        if node.id in keep:
-            out.add_node(node)
-    for edge in graph.edges:
-        if edge.src in keep and edge.dst in keep:
-            out.add_edge(edge.src, edge.dst, edge.relation)
-    return out
+    payload = graph.to_dict()
+    payload["nodes"] = [record for record in payload["nodes"] if record["id"] in keep]
+    payload["edges"] = [record for record in payload["edges"] if record["src"] in keep and record["dst"] in keep]
+    return GenreGraph.from_dict(payload)
 
 
 def write_nodes_jsonl(graph: GenreGraph, target: IO[str]) -> None:

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,16 +412,71 @@ class TestErrors:
             assert capsys.readouterr().err == f"error: {message}, so none of its tags is attached\n", stage
         assert not (tmp_path / "data" / "out").exists()
 
-    def test_empty_lemma_table_path_is_an_unreadable_path(self, tmp_path, capsys):
-        # null or an omitted key means no lemma table; "" is a path like any other
+    @pytest.mark.parametrize("key", ["lemma_table", "vectors.en", "graph_nodes", "graph_edges", "corpus", "workdir"])
+    def test_empty_path_rejected_naming_its_key(self, tmp_path, capsys, key):
+        # "" would resolve to the config file's own directory; null, or no key, means no lemma table
         paths = write_demo_dataset(tmp_path / "data")
-        edit_config(paths["config"], lemma_table="")
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        edited = json.loads(json.dumps(config))
+        if key == "vectors.en":
+            edited["vectors"]["en"] = ""
+        else:
+            edited[key] = ""
+        paths["config"].write_text(json.dumps(edited), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(str(tmp_path / "data")) in err
-        assert not (tmp_path / "data" / "out" / "graph.json").exists()
-        edit_config(paths["config"], lemma_table=None)
+        assert capsys.readouterr().err == f"error: config key {key!r} must not be an empty path\n"
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written anywhere, graph.json included
+        edit_config(paths["config"], **{**config, "lemma_table": None})
         assert main(["build-graph", "--config", str(paths["config"])]) == 0
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda config: json.dumps(config)[:-1], "{path}: invalid JSON ("),
+            (lambda config: json.dumps([config]), "{path}: config must be a JSON object"),
+            (lambda config: json.dumps({**config, "tag_systems": [{"language": "en"}]}),
+             "{path}: tag_systems entries need 'name' and 'language'"),
+            (lambda config: json.dumps({key: value for key, value in config.items() if key != "corpus"}),
+             "{path}: PipelineConfig.__init__() missing 1 required positional argument: 'corpus'"),
+            (lambda config: json.dumps({**config, "vectors": {}}), "config needs at least one entry under 'vectors'"),
+            (lambda config: json.dumps({**config, "scorer": "cosine"}),
+             "scorer must be one of ('sum', 'avg', 'baseline')"),
+            (lambda config: json.dumps({**config, "folds": 1}), "folds must be at least 2"),
+        ],
+    )
+    def test_malformed_config_rejected_before_graph_is_written(self, tmp_path, capsys, write, message):
+        paths = write_demo_dataset(tmp_path / "data")
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        paths["config"].write_text(write(config), encoding="utf-8")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=paths["config"]))
+        assert not (tmp_path / "data" / "out").exists()
+
+    def test_embed_with_no_known_concept_rejected(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "data")
+        assert main(["build-graph", "--config", str(paths["config"])]) == 0
+        for language in ("en", "fr"):
+            (tmp_path / "data" / f"vectors_{language}.vec").write_text("1 3\nqqq 1 0 0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["embed", "--config", str(paths["config"]), "--composition", "avg"]) == 2
+        assert capsys.readouterr().err == "error: no concept has any in-vocabulary word; check the vector files\n"
+        assert not (tmp_path / "data" / "out" / "embeddings.npz").exists()
+
+    def test_translate_into_a_system_with_no_attached_tags_rejected(self, demo, capsys):
+        _, config = demo
+        assert main(["translate", "en:Rock", "--target-system", "de", "--config", config]) == 2
+        assert capsys.readouterr().err == "error: no tags attached for target system 'de'\n"
+
+    @pytest.mark.parametrize("changes", [{"target_system": None}, {"source_systems": []}])
+    def test_evaluate_needs_target_and_source_systems(self, tmp_path, capsys, changes):
+        paths = write_demo_dataset(tmp_path / "data")
+        edit_config(paths["config"], **changes)
+        assert main(["evaluate", "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err == (
+            "error: evaluate needs 'target_system' and 'source_systems' in the config\n"
+        )
+        assert not (tmp_path / "data" / "out").exists()
 
     def test_tag_system_without_corpus_tags_rejected_before_graph_is_written(self, tmp_path, capsys):
         paths = write_demo_dataset(tmp_path / "data")
@@ -533,6 +591,16 @@ class TestConfig:
 
 
 class TestReadme:
+    def test_quickstart_entry_points_run_as_processes(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+        for args in (
+            ["-m", "genrevec.fixtures", str(tmp_path)],
+            ["-m", "genrevec.cli", "build-graph", "--config", str(tmp_path / "config.json")],
+        ):
+            done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (args, done.stderr)
+        assert (out_dir(tmp_path) / "graph.json").exists()
+
     def test_library_use_block_runs_on_the_demo_data(self, tmp_path, monkeypatch, capsys):
         section = README.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
         block = section.split("```python\n", 1)[1].split("```", 1)[0]

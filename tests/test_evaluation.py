@@ -112,6 +112,10 @@ class TestLoadCorpus:
         [
             ('["b", {"en": ["Rock"]}]', "corpus line 2: expected a JSON object"),
             ('{"id": "b"}', "corpus line 2: expected an object with 'id' and 'annotations'"),
+            ('{"id": 5, "annotations": {}}', "corpus line 2: invalid item id 5"),
+            ('{"id": "", "annotations": {}}', "corpus line 2: invalid item id ''"),
+            ('{"id": "b", "annotations": ["Rock"]}', "corpus line 2: annotations must be an object"),
+            ('{"id": "b", "annotations": {"en": [5]}}', "corpus line 2: tags of 'en' must be nonempty strings"),
         ],
     )
     def test_malformed_record_names_line(self, line, message):

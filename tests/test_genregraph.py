@@ -37,6 +37,7 @@ from helpers import (
     bfs_components,
     bfs_hops,
     count_memo_builds,
+    extended_graph,
     neighbors,
     per_source_hop_counts,
     rebuilding_filter_graph,
@@ -226,6 +227,7 @@ class TestLoadGraph:
         [
             ({"src": "n1", "dst": "n1", "rel": "bogus"}, "edges line 3: unknown relation 'bogus'"),
             ({"src": "zzz", "dst": "zzz", "rel": "sameAs"}, "edges line 3: edge references missing node 'zzz'"),
+            ({"src": "n1", "dst": "n1"}, "edges line 3: missing key 'rel'"),
         ],
     )
     def test_self_loop_line_checked_before_it_is_dropped(self, edge, message):
@@ -280,6 +282,9 @@ class TestLoadGraph:
              "edges[1]: unknown relation 'bogus'"),
             ({"nodes": [SAVED_NODE, {**SAVED_NODE, "id": "n2"}], "edges": [SAVED_EDGE, {**SAVED_EDGE, "dst": "zz"}]},
              "edges[1]: edge references missing node 'zz'"),
+            ({"nodes": [{**SAVED_NODE, "tokens": []}], "edges": []}, "nodes[0]: node 'n1' has no tokens"),
+            ({"nodes": [SAVED_NODE, {**SAVED_NODE, "label": "Pop"}], "edges": []}, "nodes[1]: duplicate node id 'n1'"),
+            ({"nodes": [SAVED_NODE], "edges": [{**SAVED_EDGE, "dst": "n1"}]}, "edges[0]: self-loop on node 'n1'"),
         ],
     )
     def test_malformed_saved_graph_names_file_and_problem(self, tmp_path, payload, message):
@@ -579,24 +584,25 @@ class TestAdjacency:
             graph.degree("Z")
 
     def test_changes_after_first_use_are_seen(self):
+        # a graph never changes: one built after the first is used with more records answers for them
         graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
         assert graph.degree("C") == 0 and neighbors(graph, "A") == ("B",)
         assert len(graph.connected_components()) == 2
         assert hop_counts(graph, ["A"], ["C"])[0, 0] == np.inf
-        graph.add_edge("C", "B", "derivative")
-        assert graph.degree("C") == 1 and neighbors(graph, "B") == ("A", "C")
-        assert graph.connected_components() == [frozenset({"A", "B", "C"})]
-        assert hop_counts(graph, ["A"], ["C"])[0, 0] == 2.0
-        graph.add_node(GenreNode(id="D", language="en", raw_label="D", tokens=("d",)))
-        assert graph.degree("D") == 0 and neighbors(graph, "D") == ()
-        assert graph.connected_components() == [frozenset({"A", "B", "C"}), frozenset({"D"})]
-        assert hop_counts(graph, ["D"], ["A", "D"]).tolist() == [[np.inf, 0.0]]
+        joined = extended_graph(graph, edges=[("C", "B", "derivative")])
+        assert joined.degree("C") == 1 and neighbors(joined, "B") == ("A", "C")
+        assert joined.connected_components() == [frozenset({"A", "B", "C"})]
+        assert hop_counts(joined, ["A"], ["C"])[0, 0] == 2.0
+        grown = extended_graph(joined, ["D"])
+        assert grown.degree("D") == 0 and neighbors(grown, "D") == ()
+        assert grown.connected_components() == [frozenset({"A", "B", "C"}), frozenset({"D"})]
+        assert hop_counts(grown, ["D"], ["A", "D"]).tolist() == [[np.inf, 0.0]]
+        assert graph.degree("C") == 0 and len(graph.connected_components()) == 2
 
     def test_edge_added_to_copy_leaves_original_unchanged(self):
         graph = bare_graph(["A", "B"], [])
         assert graph.connected_components() == [frozenset({"A"}), frozenset({"B"})]
-        twin = graph.copy()
-        twin.add_edge("A", "B", "sameAs")
+        twin = extended_graph(graph, edges=[("A", "B", "sameAs")])
         assert twin.degree("A") == 1 and twin.connected_components() == [frozenset({"A", "B"})]
         assert graph.degree("A") == 0 and neighbors(graph, "B") == ()
         assert graph.connected_components() == [frozenset({"A"}), frozenset({"B"})]
@@ -605,6 +611,16 @@ class TestAdjacency:
     def test_empty_graph_has_no_components(self):
         assert GenreGraph().connected_components() == []
         assert filter_graph(GenreGraph(), ["x"]).connected_components() == []
+
+
+class TestImmutable:
+    def test_graph_has_no_mutators_and_a_read_only_node_view(self):
+        graph = bare_graph(["A", "B"], [("A", "B", "sameAs")])
+        for name in ("add_node", "add_edge", "copy"):
+            assert not hasattr(graph, name)
+        with pytest.raises(TypeError):
+            graph.nodes["C"] = GenreNode(id="C", language="en", raw_label="C", tokens=("c",))
+        assert graph.node_ids() == ["A", "B"] and graph == bare_graph(["A", "B"], [("A", "B", "sameAs")])
 
 
 def assert_same_hops(graph, sources, targets):
@@ -631,15 +647,15 @@ class TestHopMemo:
         ]:
             assert_same_hops(graph, sources, targets)
 
-        graph.add_edge("lone1", some[0], "derivative")  # lone1 was isolated, so distances change
-        assert_same_hops(graph, some + ["lone1"], first)
-        graph.add_node(GenreNode(id="late", language="en", raw_label="late", tokens=("late",)))
-        assert_same_hops(graph, ["late", *some, "lone1"], first)
+        joined = extended_graph(graph, edges=[("lone1", some[0], "derivative")])  # lone1 was isolated
+        assert_same_hops(joined, some + ["lone1"], first)
+        grown = extended_graph(joined, ["late"])
+        assert_same_hops(grown, ["late", *some, "lone1"], first)
 
-        twin = graph.copy()
-        twin.add_edge("lone2", "late", "sameAs")
+        twin = extended_graph(grown, edges=[("lone2", "late", "sameAs")])
         assert_same_hops(twin, ["lone2", "late", *some], first + ["late"])
-        assert_same_hops(graph, ["lone2", "late", *some], first)
+        assert_same_hops(grown, ["lone2", "late", *some], first)
+        assert_same_hops(graph, some + ["lone1"], first)
 
     def test_repeated_call_runs_no_search(self, monkeypatch):
         graph = bare_graph(["A", "B", "C"], [("A", "B", "sameAs")])
@@ -668,21 +684,22 @@ class TestHopMemo:
         translate(ids[:2], ids[::5], scorer="baseline", graph=graph)  # another target list starts a new memo
         translate(ids[:2], targets, scorer="baseline", graph=graph)
         assert searches[4:] == [[0, 1], [0, 1]]
-        graph.add_node(GenreNode(id="late", language="en", raw_label="late", tokens=("late",)))
-        translate(ids[:2], targets, scorer="baseline", graph=graph)
-        graph.add_edge("late", ids[0], "sameAs")
-        translate(ids[:2], targets, scorer="baseline", graph=graph)
+        grown = extended_graph(graph, ["late"])  # a new graph searches afresh
+        translate(ids[:2], targets, scorer="baseline", graph=grown)
+        translate(ids[:2], targets, scorer="baseline", graph=extended_graph(grown, edges=[("late", ids[0], "sameAs")]))
         assert searches[6:] == [[0, 1], [0, 1]]
         assert builds == {(GenreGraph, tuple(targets)): 4, (GenreGraph, tuple(ids[::5])): 1}
-        assert graph.copy()._target_memo is None and filter_graph(graph, ids[:1])._target_memo is None
+        before = translate(ids[:2], targets, scorer="baseline", graph=graph)
+        assert filter_graph(graph, ids[:1])._target_memo is None
         assert attach_tag_system(graph, "x", ["late"], "en")._target_memo is None
+        assert translate(ids[:2], targets, scorer="baseline", graph=graph) == before and len(searches) == 8
 
 
 class TestEdgeStore:
     def test_edge_is_its_own_key(self):
-        graph = bare_graph(["A", "B"], [("A", "B", "sameAs")])
-        assert graph.add_edge("A", "B", "sameAs") is False
-        assert graph.add_edge("B", "A", "sameAs") is True
+        # a repeated edge record collapses into the first; the reversed edge is another edge
+        graph = bare_graph(["A", "B"], [("A", "B", "sameAs"), ("A", "B", "sameAs"), ("B", "A", "sameAs")])
+        assert graph.edges == (("A", "B", "sameAs"), ("B", "A", "sameAs")) and graph.edge_count == 2
         first = graph.edges[0]
         assert first == GenreEdge("A", "B", "sameAs") == ("A", "B", "sameAs")
         assert (first.src, first.dst, first.relation) == ("A", "B", "sameAs")

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genrevec.compose import ConceptEmbeddingMatrix
-from genrevec.genregraph import RELATIONS, GenreGraph, GenreNode
+from genrevec.genregraph import RELATIONS, GenreGraph
 from genrevec.retrofit import RetrofitConfig, retrofit
 from genrevec.translate import cosine, score_sets, translate
 
 from helpers import (
     bare_graph,
     count_memo_builds,
+    extended_graph,
     oracle_translate,
     score_avg,
     score_sum,
@@ -382,18 +383,20 @@ class TestRankingMemo:
             assert_same_translation(*query(scorer, ["n0"], targets, embeddings, graph))
 
     def test_a_graph_change_drops_the_memo(self):
+        # a graph never changes: one built with more records starts with no memo, and the first keeps its own
         graph = self.graph()
         targets = ["n7", "n3"]
         assert translate(["n0"], targets, scorer="baseline", graph=graph).scores == {"n7": 1 / 8, "n3": 1 / 4}
         assert graph._target_memo is not None
-        graph.add_edge("n0", "n7", "sameAs")
-        assert graph._target_memo is None
-        result = translate(["n0"], targets, scorer="baseline", graph=graph)
+        joined = extended_graph(graph, edges=[("n0", "n7", "sameAs")])
+        assert joined._target_memo is None
+        result = translate(["n0"], targets, scorer="baseline", graph=joined)
         assert result.scores == {"n7": 1 / 2, "n3": 1 / 4} and result.ranking == ["n7", "n3"]
-        graph.add_node(GenreNode(id="n8", language="en", raw_label="n8", tokens=("n8",)))
-        assert graph._target_memo is None
-        result = translate(["n8"], ["n7", "n8"], scorer="baseline", graph=graph)
+        grown = extended_graph(joined, ["n8"])
+        assert grown._target_memo is None
+        result = translate(["n8"], ["n7", "n8"], scorer="baseline", graph=grown)
         assert result.scores == {"n7": 0.0, "n8": 1.0} and result.ranking == ["n8", "n7"]
+        assert translate(["n0"], targets, scorer="baseline", graph=graph).scores == {"n7": 1 / 8, "n3": 1 / 4}
 
     def test_sources_checked_before_targets_after_a_memo_hit(self):
         graph = self.graph()

@@ -1,5 +1,7 @@
 """Tests for word vector loading, lookup, and frequency estimation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,18 @@ class TestLoadVectors:
             load_vectors(text_file("three 3\nrock 1 0 0\n"))
         with pytest.raises(VectorFormatError, match="header"):
             load_vectors(text_file("3\nrock 1 0 0\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty vector stream: missing '<count> <dim>' header"),
+            ("-1 3\n", "line 1: invalid header values count=-1 dim=3"),
+            ("2 0\nrock\npop\n", "line 1: invalid header values count=2 dim=0"),
+        ],
+    )
+    def test_header_values_checked(self, text, message):
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(message)}$"):
+            load_vectors(text_file(text))
 
     def test_exact_duplicate_word_rejected(self):
         stream = text_file("3 2\nrock 1 0\npop 0 1\nrock 2 2\n")
