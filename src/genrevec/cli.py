@@ -86,19 +86,21 @@ class PipelineConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        known_keys = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known_keys)
+        unknown, missing = _key_problems(cls, payload)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {unknown}")
+        if missing:
+            raise ConfigError(f"{path}: config key {missing!r} is required")
         systems = payload.pop("tag_systems", [])
-        try:
-            payload["tag_systems"] = [TagSystemSpec(**entry) for entry in systems]
-        except TypeError:
-            raise ConfigError(f"{path}: tag_systems entries need 'name' and 'language'") from None
-        try:
-            config = cls(**payload)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        if not isinstance(systems, list) or not all(isinstance(entry, dict) for entry in systems):
+            raise ConfigError(f"{path}: tag_systems must be a list of objects, got {json.dumps(systems)}")
+        for entry in systems:
+            unknown, missing = _key_problems(TagSystemSpec, entry)
+            if unknown:
+                raise ConfigError(f"{path}: unknown tag_systems entry keys {unknown}")
+            if missing:
+                raise ConfigError(f"{path}: tag_systems entries need 'name' and 'language'")
+        config = cls(**payload, tag_systems=[TagSystemSpec(**entry) for entry in systems])
         config._validate()
         # Relative paths resolve against the config file's directory.
         config.vectors = {lang: _resolve(path.parent, f"vectors.{lang}", p) for lang, p in config.vectors.items()}
@@ -134,6 +136,14 @@ class PipelineConfig:
 
     def retrofit_config(self) -> RetrofitConfig:
         return RetrofitConfig(scheme=self.scheme, tolerance=self.tolerance, max_iters=self.max_iters)
+
+
+def _key_problems(record: type, payload: dict) -> tuple[list[str], str | None]:
+    """The keys of `payload` that name no field of the dataclass `record`, sorted, and the first required field it lacks."""
+    fields = dataclasses.fields(record)
+    unknown = sorted(set(payload) - {f.name for f in fields})
+    required = (f.name for f in fields if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+    return unknown, next((name for name in required if name not in payload), None)
 
 
 def _resolve(base: Path, key: str, value: str) -> str:

@@ -38,8 +38,8 @@ EQUIVALENCE_RELATIONS = frozenset({"sameAs", "wikiPageRedirects"})
 # Relation -> integer code of the edge table, in sorted relation order.
 RELATION_CODES = {relation: code for code, relation in enumerate(sorted(RELATIONS))}
 
-# Most sources one shortest-path call searches from; bounds its (sources x nodes) result.
-HOP_CHUNK = 64
+# Most sources one block search runs from; bounds its (nodes x sources) arrays.
+HOP_CHUNK = 128
 
 _SEPARATOR_RUN = re.compile(r"[\W_]+", re.UNICODE)
 _LANGUAGE_CODE = re.compile(r"[a-z]{2}")
@@ -143,7 +143,8 @@ class GenreGraph:
     its own key in one dict. Edges are stored as read (direction retained
     for fidelity). The first read of the structure caches a table of (src
     position, dst position, relation code) rows and, built from it, one
-    symmetric 0/1 sparse adjacency, which components and paths read; an
+    symmetric 0/1 sparse adjacency in the smallest unsigned dtype that holds
+    the largest degree, which components and paths read; an
     opaque ``_target_memo`` slot holds what translation derives from the
     graph for one target list. The word vocabulary (the node labels' words
     and their lemmas, see :func:`load_graph`) splits attached tags.
@@ -173,7 +174,11 @@ class GenreGraph:
             table.flags.writeable = False
             both = np.hstack([table[:, :2].T, table[:, 1::-1].T])
             matrix = sparse.csr_matrix((np.ones(both.shape[1]), tuple(both)), shape=(len(ids), len(ids)))
-            matrix.data[:] = 1.0  # parallel edges and both directions of a pair were summed
+            # parallel edges and both directions of a pair were summed; a product with a 0/1
+            # frontier counts neighbours, so the dtype holds the largest degree (see _search_block)
+            degree = int(np.diff(matrix.indptr).max(initial=0))
+            matrix = matrix.astype(np.min_scalar_type(degree))
+            matrix.data[:] = 1
             self._cache = ids, position, table, matrix
         return self._cache
 
@@ -455,21 +460,58 @@ def attach_tag_system(
     return GenreGraph._assembled(nodes, edges, graph.word_vocabulary)
 
 
+def hop_levels(graph: GenreGraph, sources: Sequence[str]) -> np.ndarray:
+    """Shortest undirected path lengths from each source to every node, shape (nodes, sources), rows in node order.
+
+    The counts are in the smallest unsigned dtype that holds the node count
+    n, and n marks a node the source does not reach. Raises ValueError naming
+    the first unknown source. Runs one block search per :data:`HOP_CHUNK`
+    sources.
+    """
+    positions = graph._positions(sources)
+    adjacency, n = graph._structure()[3], graph.node_count
+    levels = np.empty((n, len(positions)), dtype=np.min_scalar_type(n))
+    for start in range(0, len(positions), HOP_CHUNK):
+        levels[:, start:start + HOP_CHUNK] = _search_block(adjacency, positions[start:start + HOP_CHUNK])
+    return levels
+
+
 def hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:
     """Shortest undirected path lengths, shape (sources, targets); inf where unreachable.
 
-    Raises ValueError naming the first unknown id, sources before targets.
-    Searches :data:`HOP_CHUNK` sources per ``csgraph.shortest_path`` call.
+    Raises ValueError naming the first unknown id, sources before targets,
+    before any search. The float form of :func:`hop_levels`, read at the
+    targets.
     """
-    source_positions = graph._positions(sources)
+    graph._positions(sources)  # an unknown source is named before an unknown target
     target_positions = graph._positions(targets)
-    matrix = graph._structure()[3]
-    hops = np.empty((len(source_positions), len(target_positions)))
-    for start in range(0, len(source_positions), HOP_CHUNK):
-        chunk = source_positions[start:start + HOP_CHUNK]
-        rows = csgraph.shortest_path(matrix, unweighted=True, indices=chunk)
-        hops[start:start + len(chunk)] = rows[:, target_positions]
+    levels = hop_levels(graph, sources)[target_positions].T
+    hops = levels.astype(np.float64, order="C")
+    hops[levels == graph.node_count] = np.inf
     return hops
+
+
+def _search_block(adjacency: sparse.csr_matrix, positions: np.ndarray) -> np.ndarray:
+    """Hop counts from each source position to every node, shape (nodes, sources); the node count where unreachable.
+
+    A level-synchronous breadth-first search of all sources at once: the
+    frontier holds one 0/1 column per source, and each level is one sparse
+    product ``adjacency @ frontier`` whose entries count frontier neighbours
+    (the adjacency's dtype holds any degree), masked by what is unvisited.
+    Every level that ends with a node unvisited adds one to its count, so
+    the count stops at the level where the node first turns on.
+    """
+    n, width = adjacency.shape[0], len(positions)
+    unvisited = np.ones((n, width), dtype=bool)
+    unvisited[positions, np.arange(width)] = False
+    levels = unvisited.astype(np.min_scalar_type(n))
+    frontier = ~unvisited
+    while frontier.any():
+        frontier = np.logical_and(adjacency @ frontier, unvisited)
+        unvisited ^= frontier
+        levels += unvisited
+    levels[unvisited] = n
+    return levels
 
 
 def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:

@@ -5,13 +5,15 @@ mean across the source set, or shortest-path relatedness over the genre
 graph for the baseline. :func:`score_sets` scores many source sets against
 one target list in one pass, as evaluation does; :func:`translate` is its
 one-set call, with ranking. What depends only on the target list is built
-once per distinct list, as one :class:`TargetMemo` that its scorer's input
-keeps (see :func:`_memo`): the matrix for "sum"/"avg", holding the
-row-normalized target rows, and the graph for "baseline", holding each
-source's relatedness row searched so far. Both also hold the targets'
-lexicographic ranks and the targets as an object array, which a ranking
-reads. So a repeated target list costs a call only its sources. The scalar
-:func:`cosine` gives the same similarity for one pair of vectors.
+once per list, as one :class:`TargetMemo` that its scorer's input keeps (see
+:func:`_memo`): the matrix for "sum"/"avg", holding the row-normalized
+target rows, and the graph for "baseline", holding a :class:`HopTable`:
+each source's relatedness row read so far and, from the first call after
+the one that built it that brings another source, every node's hop counts
+to the targets. Both also hold the targets' lexicographic ranks and the targets as an
+object array, which a ranking reads. So a repeated target list costs a call
+only its sources. The scalar :func:`cosine` gives the same similarity for
+one pair of vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .compose import ConceptEmbeddingMatrix
-from .genregraph import GenreGraph, hop_counts
+from .genregraph import GenreGraph, hop_counts, hop_levels
 
 logger = logging.getLogger(__name__)
 
@@ -57,31 +59,42 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
+class HopTable(NamedTuple):
+    """The baseline's table for one target list (see :func:`score_sets`)."""
+
+    rows: dict[str, np.ndarray]  # source -> its read-only 1/(1 + hops) row, for each source read so far
+    levels: np.ndarray | None = None  # once filled, every node's hop counts to the targets, from hop_levels
+
+
 class TargetMemo(NamedTuple):
     """What a scorer's input keeps for the target list of its latest call (see :func:`_memo`)."""
 
-    targets: tuple[str, ...]
-    table: np.ndarray | dict[str, np.ndarray]  # the targets' normalized rows, or source -> relatedness row
+    key: tuple[str, ...]  # the target list as the call gave it
+    targets: tuple[str, ...]  # its distinct ids, in first-seen order
+    table: np.ndarray | HopTable  # the targets' normalized rows, or the baseline's table
     lex_rank: np.ndarray  # each target's position in lexicographic order
     names: np.ndarray  # the targets as an object array
 
 
-def _memo(owner, targets: tuple[str, ...], build: Callable[[], np.ndarray | dict]) -> TargetMemo:
-    """`owner`'s memo for `targets`, built around ``build()`` when it holds another list or none.
+def _memo(owner, key: tuple[str, ...], build: Callable[[tuple[str, ...]], np.ndarray | HopTable]) -> TargetMemo:
+    """`owner`'s memo for the target list `key`, built around ``build(targets)`` when it holds another list or none.
 
-    Keyed by the target ids, not by the caller's list, so a list changed in
-    place is not served stale; another list replaces the memo. If ``build``
-    raises, the memo the owner held stays. The arrays are read-only.
+    Keyed by the list as given, so a hit costs no deduplication and a list
+    changed in place is not served stale; the memo's `targets` are the
+    list's distinct ids, which ``build`` receives. Another list replaces the
+    memo. If ``build`` raises, the memo the owner held stays. The arrays are
+    read-only.
     """
     memo = owner._target_memo
-    if memo is None or memo.targets != targets:
-        table = build()
+    if memo is None or memo.key != key:
+        targets = tuple(dict.fromkeys(key))
+        table = build(targets)
         lex_rank = np.empty(len(targets), dtype=np.intp)
         lex_rank[sorted(range(len(targets)), key=targets.__getitem__)] = np.arange(len(targets))
         names = np.empty(len(targets), dtype=object)
         names[:] = targets
         lex_rank.flags.writeable = names.flags.writeable = False
-        memo = owner._target_memo = TargetMemo(targets, table, lex_rank, names)
+        memo = owner._target_memo = TargetMemo(key, targets, table, lex_rank, names)
     return memo
 
 
@@ -97,9 +110,9 @@ def _target_rows(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -
     return block
 
 
-def _relatedness(graph: GenreGraph, sources: list[str], targets: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Each source's 1/(1 + hops) row to the targets; ValueError naming the first unknown id, sources first."""
-    rows = 1.0 / (1.0 + hop_counts(graph, sources, targets))
+def _relatedness(sources: list[str], hops: np.ndarray) -> dict[str, np.ndarray]:
+    """Each source's read-only 1/(1 + hops) row, from its row of `hops` (inf where unreachable)."""
+    rows = 1.0 / (1.0 + hops)
     rows.flags.writeable = False
     return dict(zip(sources, rows))
 
@@ -125,10 +138,15 @@ def score_sets(
     targets once and its cosine rows summed, and divided by its size for
     "avg"; later sets with the same resolved tuple copy that row. A set
     with no resolved source scores 0 everywhere.
-    "baseline" averages over the set one 1/(1 + hops) row per source from
-    the graph's memo, which searches, in one :func:`~genrevec.genregraph.hop_counts`
-    call, only the distinct sources it does not hold yet; every id must be
-    a graph node, and an unknown source is named before an unknown target.
+    "baseline" averages over the set one 1/(1 + hops) row per source, read
+    from the graph's :class:`HopTable` for this target list. The call that
+    builds the table searches only its own distinct sources, so a one-shot
+    call stays cheap; the first later call that brings a source not searched
+    yet fills the table with one search from the targets, which gives every
+    node's row, since paths are undirected; after that no call on this graph
+    and list searches. Searches run :func:`~genrevec.genregraph.hop_levels`.
+    Every id must be a graph node, and an unknown source is named before an
+    unknown target.
     """
     scores, dropped, _ = _score(source_sets, tuple(targets), embeddings, scorer, graph)
     return scores, dropped
@@ -136,38 +154,45 @@ def score_sets(
 
 def _score(
     source_sets: Sequence[Iterable[str]],
-    targets: tuple[str, ...],
+    key: tuple[str, ...],
     embeddings: ConceptEmbeddingMatrix | None,
     scorer: str,
     graph: GenreGraph | None,
 ) -> tuple[np.ndarray, np.ndarray, TargetMemo | None]:
-    """:func:`score_sets`, plus the scorer's memo for `targets` (None when there is no set)."""
+    """:func:`score_sets` of the target list `key`, plus the scorer's memo for it (None when there is no set)."""
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
     rows = [sorted(set(tags)) for tags in source_sets]
     if not all(rows):
         raise ValueError("source tag set must be nonempty")
-    scores = np.zeros((len(rows), len(targets)))
     dropped = np.zeros(len(rows), dtype=np.int64)
     if not rows:
-        return scores, dropped, None
+        return np.zeros((0, len(key))), dropped, None
 
     if scorer == "baseline":
         if graph is None:
             raise ValueError("the baseline scorer requires the genre graph")
         # first-seen order, so an unknown id is reported as in the rows
         distinct = list(dict.fromkeys(chain(*rows)))
-        memo = _memo(graph, targets, lambda: _relatedness(graph, distinct, targets))
-        missing = [source for source in distinct if source not in memo.table]
+        memo = _memo(graph, key, lambda targets: HopTable(_relatedness(distinct, hop_counts(graph, distinct, targets))))
+        table = memo.table
+        missing = [source for source in distinct if source not in table.rows]
         if missing:
-            memo.table.update(_relatedness(graph, missing, targets))
+            positions = graph._positions(missing)  # an unknown source fails the call before any search
+            if table.levels is None:  # paths are undirected: one search from the targets gives every node's row
+                table = HopTable(table.rows, hop_levels(graph, memo.targets))
+                memo = graph._target_memo = memo._replace(table=table)
+            found = table.levels[positions]
+            table.rows.update(_relatedness(missing, np.where(found == graph.node_count, np.inf, found)))
+        scores = np.zeros((len(rows), len(memo.targets)))
         for i, row in enumerate(rows):
-            scores[i] = sum(memo.table[source] for source in row) / len(row)
+            scores[i] = sum(table.rows[source] for source in row) / len(row)
         return scores, dropped, memo
 
     if embeddings is None:
         raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-    memo = _memo(embeddings, targets, lambda: _target_rows(embeddings, targets))
+    memo = _memo(embeddings, key, lambda targets: _target_rows(embeddings, targets))
+    scores = np.zeros((len(rows), len(memo.targets)))
     resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
     dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
 
@@ -211,13 +236,12 @@ def translate(
     scorer's :class:`TargetMemo`, which the call reads once.
     """
     sources = set(source_tags)
-    target_ids = tuple(dict.fromkeys(targets))
-    matrix, dropped, memo = _score([sources], target_ids, embeddings, scorer, graph)
+    matrix, dropped, memo = _score([sources], tuple(targets), embeddings, scorer, graph)
     if dropped[0]:
         logger.warning("dropped %d source tags missing from the embedding vocabulary", dropped[0])
         if dropped[0] == len(sources):
             logger.warning("no source tag resolved; all targets score 0")
     row = matrix[0]
-    scores = dict(zip(target_ids, row.tolist()))
+    scores = dict(zip(memo.targets, row.tolist()))
     ranking = memo.names[np.lexsort((memo.lex_rank, -row))].tolist()
     return TranslationResult(scores=scores, ranking=ranking)

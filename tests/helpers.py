@@ -17,6 +17,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.stats import rankdata
 
+from genrevec import genregraph
 from genrevec.compose import ConceptEmbeddingMatrix
 from genrevec.evaluation import CorpusItem, FoldAssignment, ParallelCorpus
 from genrevec.genregraph import EQUIVALENCE_RELATIONS, RELATIONS, GenreGraph, hop_counts, tag_node_id
@@ -159,34 +160,34 @@ def per_source_hop_counts(graph: GenreGraph, sources: Sequence[str], targets: Se
 
 
 def record_searches(monkeypatch) -> list[list[int]]:
-    """Record, for the rest of the test, the source positions of every `csgraph.shortest_path` call."""
+    """Record, for the rest of the test, the source positions of every block search `hop_levels` runs."""
     calls = []
-    search = csgraph.shortest_path
+    search = genregraph._search_block
 
-    def recorded(*args, **kwargs):
-        calls.append(list(kwargs["indices"]))
-        return search(*args, **kwargs)
+    def recorded(adjacency, positions):
+        calls.append(positions.tolist())
+        return search(adjacency, positions)
 
-    monkeypatch.setattr(csgraph, "shortest_path", recorded)
+    monkeypatch.setattr(genregraph, "_search_block", recorded)
     return calls
 
 
-def unstored_memo(owner, targets: tuple[str, ...], build) -> TargetMemo:
+def unstored_memo(owner, key: tuple[str, ...], build) -> TargetMemo:
     """Stand-in for `translate._memo` that builds the memo on every call and never stores it on `owner`."""
-    return _memo(SimpleNamespace(_target_memo=None), targets, build)
+    return _memo(SimpleNamespace(_target_memo=None), key, build)
 
 
 def count_memo_builds(monkeypatch) -> Counter:
-    """Count, for the rest of the test, the memos `translate._memo` builds, per (owner type, targets)."""
+    """Count, for the rest of the test, the memos `translate._memo` builds, per (owner type, target list)."""
     builds = Counter()
 
-    def counted(owner, targets, build):
-        def counted_build():
-            table = build()
-            builds[type(owner), targets] += 1
+    def counted(owner, key, build):
+        def counted_build(targets):
+            table = build(targets)
+            builds[type(owner), key] += 1
             return table
 
-        return _memo(owner, targets, counted_build)
+        return _memo(owner, key, counted_build)
 
     # the package exports the function translate, which hides the module of that name
     monkeypatch.setattr(importlib.import_module("genrevec.translate"), "_memo", counted)

@@ -52,14 +52,22 @@ def test_served_queries_pass_the_benchmark_checks(tmp_path, monkeypatch):
         if sources:
             queries.append((sources, record["scorer"]))
     assert len(queries) == len(records) and {scorer for _, scorer in queries} == {"avg", "sum", "baseline"}
-    # The second pass reads the target and hop memos the first one left. The
-    # system's tags come sorted, so a third pass sends them reversed: ties
-    # broken by list position would then differ from lexicographic ties.
+    # Halfway through the first pass the graph is reloaded, as the benchmark
+    # reloads it after each build: on the fresh graph the first baseline query
+    # searches its own sources and a later one fills the hop table from the
+    # targets. The second pass reads the target and hop memos the first one
+    # left. The system's tags come sorted, so a third pass sends them
+    # reversed: ties broken by list position would then differ from
+    # lexicographic ties.
+    reloaded = pipeline.load_served(workdir, config.target_system, tracer)[0]
     reversed_targets = targets[::-1]
     passes = [(targets, scores), (targets, scores), (reversed_targets, checks.ScoreReference(embeddings, reversed_targets))]
     problems, misranked = [], []
-    for order, reference in passes:
-        for sources, scorer in queries:
+    for n, (order, reference) in enumerate(passes):
+        for i, (sources, scorer) in enumerate(queries):
+            if (n, i) == (0, len(queries) // 2):
+                assert graph._target_memo.table.levels is not None and reloaded._target_memo is None
+                graph = reloaded
             result = pipeline.query(sources, order, scorer, graph, embeddings, tracer)
             problems += checks.check_translation(result, sources, order, scorer, reference, hops)
             # the benchmark checks score order only; ties must also break lexicographically
@@ -67,6 +75,7 @@ def test_served_queries_pass_the_benchmark_checks(tmp_path, monkeypatch):
                 misranked.append((scorer, sources))
     assert problems == []
     assert misranked == []
+    assert graph is reloaded and graph._target_memo.table.levels is not None
 
 
 def test_pipeline_rejects_a_tag_system_without_corpus_tags(tmp_path, monkeypatch):

@@ -437,8 +437,12 @@ class TestErrors:
             (lambda config: json.dumps([config]), "{path}: config must be a JSON object"),
             (lambda config: json.dumps({**config, "tag_systems": [{"language": "en"}]}),
              "{path}: tag_systems entries need 'name' and 'language'"),
+            (lambda config: json.dumps({**config, "tag_systems": [{"name": "en", "language": "en", "lang": "x"}]}),
+             "{path}: unknown tag_systems entry keys ['lang']"),
+            (lambda config: json.dumps({**config, "tag_systems": {"name": "en", "language": "en"}}),
+             '{path}: tag_systems must be a list of objects, got {{"name": "en", "language": "en"}}'),
             (lambda config: json.dumps({key: value for key, value in config.items() if key != "corpus"}),
-             "{path}: PipelineConfig.__init__() missing 1 required positional argument: 'corpus'"),
+             "{path}: config key 'corpus' is required"),
             (lambda config: json.dumps({**config, "vectors": {}}), "config needs at least one entry under 'vectors'"),
             (lambda config: json.dumps({**config, "scorer": "cosine"}),
              "scorer must be one of ('sum', 'avg', 'baseline')"),

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genrevec import genregraph
+from genrevec import genregraph
 from genrevec.genregraph import (
     EQUIVALENCE_RELATIONS,
+    HOP_CHUNK,
     RELATION_CODES,
     RELATIONS,
     GenreEdge,
@@ -630,8 +632,50 @@ def assert_same_hops(graph, sources, targets):
     assert hops.tobytes() == expected.tobytes()
 
 
+@st.composite
+def block_search_cases(draw):
+    """A graph with several components and isolated nodes, maybe a fan whose hub has degree >= 256, and a search on it.
+
+    In the fan, `fan_in` reaches 256 or more middle nodes, all joined to
+    `hub`, so one level puts that many of the hub's neighbours on the
+    frontier at once: a product dtype chosen without the degree would wrap.
+    """
+    ids = [f"g{i:02d}" for i in range(draw(st.integers(1, 30)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2 * len(ids)))
+    edges = [(a, b, "derivative") for a, b in pairs if a != b]
+    fan = draw(st.booleans())
+    if fan:
+        middle = [f"m{i:03d}" for i in range(draw(st.integers(256, 260)))]
+        ids += ["fan_in", "hub", *middle]
+        edges += [("fan_in", m, "musicSubgenre") for m in middle] + [(m, "hub", "sameAs") for m in middle]
+        edges.append(("hub", draw(st.sampled_from(ids[:-len(middle) - 2])), "derivative"))
+    names = st.sampled_from(ids)
+    sources = draw(st.lists(names, max_size=12))  # repeats allowed
+    targets = draw(st.lists(names, max_size=12))
+    if sources and draw(st.booleans()):
+        targets.append(sources[0])
+    return bare_graph(ids, edges), sources, targets, draw(st.integers(1, 5)), fan
+
+
+class TestBlockSearch:
+    @given(block_search_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_source_search(self, case):
+        graph, sources, targets, block, fan = case
+        assert graph._structure()[3].dtype == (np.uint16 if fan else np.uint8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genregraph, "HOP_CHUNK", block)  # mostly not a divisor of len(sources)
+            assert_same_hops(graph, sources, targets)
+            levels = genregraph.hop_levels(graph, sources)
+        n = graph.node_count
+        assert levels.shape == (n, len(sources)) and levels.dtype == np.min_scalar_type(n)
+        expected = per_source_hop_counts(graph, sources, graph.node_ids()).T
+        np.testing.assert_array_equal(np.where(levels == n, np.inf, levels), expected)
+
+
 class TestHopMemo:
-    """hop_counts equals a fresh per-source search; the baseline memo on the graph searches each source once."""
+    """hop_counts equals a fresh per-source search; the baseline memo on the graph searches the sources of the
+    call that builds it, then at most once more, from the targets."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_call_sequence_matches_per_source_oracle(self, seed):
@@ -672,27 +716,31 @@ class TestHopMemo:
         graph = bare_graph(ids, [(a, b, "musicSubgenre") for a, b in zip(ids, ids[1:])])
         targets = ids[::10]
         searches, builds = record_searches(monkeypatch), count_memo_builds(monkeypatch)
+        translate(ids[:130], targets, scorer="baseline", graph=graph)  # the first call searches its own sources
+        assert searches == [list(range(0, HOP_CHUNK)), list(range(HOP_CHUNK, 130))]
         translate(ids[:130], targets, scorer="baseline", graph=graph)
-        assert [len(call) for call in searches] == [64, 64, 2]
-        translate(ids[:130], targets, scorer="baseline", graph=graph)
-        assert len(searches) == 3
+        assert len(searches) == 2
         scores, _ = score_sets([[source] for source in ids[120:140]], targets, scorer="baseline", graph=graph)
-        assert searches[3:] == [list(range(130, 140))]
-        assert len(graph._target_memo.table) == 140  # one row per distinct source, of len(targets) floats
+        assert searches[2:] == [list(range(0, 150, 10))]  # a miss fills the table from the targets
+        table = graph._target_memo.table  # one row of small counts per node, and one float row per source read
+        assert table.levels.shape == (150, len(targets)) and len(table.rows) == 140
         np.testing.assert_array_equal(scores, 1 / (1 + np.abs(np.arange(120, 140)[:, None] - np.arange(0, 150, 10))))
+        again, _ = score_sets([[source] for source in ids[::-1]], targets, scorer="baseline", graph=graph)
+        assert len(searches) == 3  # a filled table searches no more
+        np.testing.assert_array_equal(again[::-1][120:140], scores)
 
         translate(ids[:2], ids[::5], scorer="baseline", graph=graph)  # another target list starts a new memo
         translate(ids[:2], targets, scorer="baseline", graph=graph)
-        assert searches[4:] == [[0, 1], [0, 1]]
+        assert searches[3:] == [[0, 1], [0, 1]]
         grown = extended_graph(graph, ["late"])  # a new graph searches afresh
         translate(ids[:2], targets, scorer="baseline", graph=grown)
         translate(ids[:2], targets, scorer="baseline", graph=extended_graph(grown, edges=[("late", ids[0], "sameAs")]))
-        assert searches[6:] == [[0, 1], [0, 1]]
+        assert searches[5:] == [[0, 1], [0, 1]]
         assert builds == {(GenreGraph, tuple(targets)): 4, (GenreGraph, tuple(ids[::5])): 1}
         before = translate(ids[:2], targets, scorer="baseline", graph=graph)
         assert filter_graph(graph, ids[:1])._target_memo is None
         assert attach_tag_system(graph, "x", ["late"], "en")._target_memo is None
-        assert translate(ids[:2], targets, scorer="baseline", graph=graph) == before and len(searches) == 8
+        assert translate(ids[:2], targets, scorer="baseline", graph=graph) == before and len(searches) == 7
 
 
 class TestEdgeStore:

@@ -1,6 +1,7 @@
 """Tests for cosine scoring, aggregation, and target ranking."""
 
 import logging
+import random
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     count_memo_builds,
     extended_graph,
     oracle_translate,
+    record_searches,
     score_avg,
     score_sum,
     shortest_path_similarity,
@@ -259,6 +261,40 @@ def assert_same_translation(result, expected):
     assert result.ranking == expected.ranking
 
 
+class TestHopTable:
+    """The baseline's table: the call that builds it searches its own sources; the first later call that
+    brings another source fills it with one search from the targets; then no call searches."""
+
+    def test_searches_and_scores_before_and_after_the_fill(self, monkeypatch):
+        rng = random.Random(3)
+        ids = [f"n{i:02d}" for i in range(40)]
+        edges = [(a, b, "derivative") for a, b in ((rng.choice(ids), rng.choice(ids)) for _ in range(45)) if a != b]
+        graph = bare_graph(ids + ["lone"], edges)  # `lone` reaches no target but itself
+        targets = rng.sample(ids, 12) + ["lone"]
+        queries = [["n05", "n01"], ["n01"], ["n05", "n01", "n05"], ["n07", "n01"], *(rng.sample(ids, 3) for _ in range(20))]
+        searches = record_searches(monkeypatch)
+        for n, sources in enumerate(queries):
+            result = translate(sources, targets, scorer="baseline", graph=graph)
+            assert_same_translation(result, oracle_translate(sources, targets, scorer="baseline", graph=graph))
+            if n == 2:  # a one-shot call searched only its own sources, and the next two searched nothing
+                assert searches == [[1, 5]] and graph._target_memo.table.levels is None
+        assert searches == [[1, 5], graph._positions(targets).tolist()]  # n07 brought the fill
+        assert graph._target_memo.table.levels.shape == (41, len(targets))
+        assert translate(["lone"], targets, scorer="baseline", graph=graph).scores["lone"] == 1.0
+        assert len(searches) == 2
+
+    def test_memo_is_keyed_by_the_list_as_given(self, monkeypatch):
+        graph = bare_graph(["a", "b", "c"], [("a", "b", "sameAs")])
+        builds = count_memo_builds(monkeypatch)
+        for _ in range(2):
+            result = translate(["a"], ["c", "b", "c"], scorer="baseline", graph=graph)
+            assert result.scores == {"c": 0.0, "b": 0.5} and result.ranking == ["b", "c"]
+        memo = graph._target_memo
+        assert memo.key == ("c", "b", "c") and memo.targets == ("c", "b") and memo.names.tolist() == ["c", "b"]
+        translate(["a"], ["c", "b"], scorer="baseline", graph=graph)  # the same ids, another list
+        assert builds == {(GenreGraph, ("c", "b", "c")): 1, (GenreGraph, ("c", "b")): 1}
+
+
 class TestMemoizedTranslate:
     @given(translation_cases())
     @settings(max_examples=150, deadline=None)
@@ -378,7 +414,8 @@ class TestRankingMemo:
     def test_a_list_mutated_in_place_is_not_served_stale(self, scorer):
         graph, embeddings = self.graph(), self.embeddings()
         targets = ["n5", "n6", "n2"]
-        for change in (lambda: None, lambda: targets.__setitem__(0, "n1"), targets.reverse, lambda: targets.append("n4")):
+        for change in (lambda: None, lambda: targets.__setitem__(0, "n1"), targets.reverse, lambda: targets.append("n4"),
+                       lambda: targets.append("n1")):  # a repeat changes the list, not its distinct ids
             change()
             assert_same_translation(*query(scorer, ["n0"], targets, embeddings, graph))
 
