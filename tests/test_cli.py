@@ -441,8 +441,10 @@ class TestErrors:
              "{path}: unknown tag_systems entry keys ['lang']"),
             (lambda config: json.dumps({**config, "tag_systems": {"name": "en", "language": "en"}}),
              '{path}: tag_systems must be a list of objects, got {{"name": "en", "language": "en"}}'),
-            (lambda config: json.dumps({key: value for key, value in config.items() if key != "corpus"}),
-             "{path}: config key 'corpus' is required"),
+            # The id keeps the name this case had when the message was Python's own TypeError text.
+            pytest.param(lambda config: json.dumps({key: value for key, value in config.items() if key != "corpus"}),
+                         "{path}: config key 'corpus' is required",
+                         id="<lambda>-{path}: PipelineConfig missing required key 'corpus'"),
             (lambda config: json.dumps({**config, "vectors": {}}), "config needs at least one entry under 'vectors'"),
             (lambda config: json.dumps({**config, "scorer": "cosine"}),
              "scorer must be one of ('sum', 'avg', 'baseline')"),
