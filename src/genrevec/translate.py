@@ -6,13 +6,13 @@ graph for the baseline. :func:`score_sets` scores many source sets against
 one target list in one pass, as evaluation does; :func:`translate` is its
 one-set call, with ranking. What depends only on the target list is built
 once per list, as one :class:`TargetMemo` that its scorer's input keeps (see
-:func:`_memo`): the matrix for "sum"/"avg", holding the row-normalized
-target rows, and the graph for "baseline", holding a :class:`HopTable`:
-each source's relatedness row read so far and, from the first call after
-the one that built it that brings another source, every node's hop counts
-to the targets. Both also hold the targets' lexicographic ranks and the targets as an
-object array, which a ranking reads. So a repeated target list costs a call
-only its sources. The scalar :func:`cosine` gives the same similarity for
+:func:`_memo`): the matrix for "sum"/"avg", holding a :class:`CosineTable`,
+and the graph for "baseline", holding a :class:`HopTable`. Each table keeps
+one read-only row over the targets per source read so far, and every scorer
+scores a set as the sum of its sources' rows. Both memos also hold the
+targets' lexicographic ranks and the targets as an object array, which a
+ranking reads. So a repeated target list costs a call only the sources it
+has not read yet. The scalar :func:`cosine` gives the same similarity for
 one pair of vectors.
 """
 
@@ -59,6 +59,13 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
+class CosineTable(NamedTuple):
+    """The "sum"/"avg" table for one target list (see :func:`score_sets`)."""
+
+    block: np.ndarray  # the targets' read-only row-normalized rows
+    rows: dict[str, np.ndarray]  # source -> its read-only cosine row, for each source read so far
+
+
 class HopTable(NamedTuple):
     """The baseline's table for one target list (see :func:`score_sets`)."""
 
@@ -71,12 +78,12 @@ class TargetMemo(NamedTuple):
 
     key: tuple[str, ...]  # the target list as the call gave it
     targets: tuple[str, ...]  # its distinct ids, in first-seen order
-    table: np.ndarray | HopTable  # the targets' normalized rows, or the baseline's table
+    table: CosineTable | HopTable  # the scorer's rows, one per source read so far
     lex_rank: np.ndarray  # each target's position in lexicographic order
     names: np.ndarray  # the targets as an object array
 
 
-def _memo(owner, key: tuple[str, ...], build: Callable[[tuple[str, ...]], np.ndarray | HopTable]) -> TargetMemo:
+def _memo(owner, key: tuple[str, ...], build: Callable[[tuple[str, ...]], CosineTable | HopTable]) -> TargetMemo:
     """`owner`'s memo for the target list `key`, built around ``build(targets)`` when it holds another list or none.
 
     Keyed by the list as given, so a hit costs no deduplication and a list
@@ -98,8 +105,8 @@ def _memo(owner, key: tuple[str, ...], build: Callable[[tuple[str, ...]], np.nda
     return memo
 
 
-def _target_rows(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -> np.ndarray:
-    """The targets' row-normalized rows, read-only; ValueError naming the first unresolvable target."""
+def _cosine_table(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -> CosineTable:
+    """The targets' table with no row yet; ValueError naming the first unresolvable target."""
     try:
         target_index = [embeddings.index_of(t) for t in targets]
     except KeyError:
@@ -107,7 +114,7 @@ def _target_rows(embeddings: ConceptEmbeddingMatrix, targets: tuple[str, ...]) -
         raise ValueError(f"unresolvable target tag {missing!r}") from None
     block = _normalize_rows(embeddings.vectors[target_index])
     block.flags.writeable = False
-    return block
+    return CosineTable(block, {})
 
 
 def _relatedness(sources: list[str], hops: np.ndarray) -> dict[str, np.ndarray]:
@@ -126,29 +133,34 @@ def score_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score every target tag for each source tag set, in one pass.
 
-    `targets` must be distinct. Returns a (sets x targets) score matrix,
-    columns in the order of `targets`, and per set the number of distinct
-    source tags dropped as missing from the embedding matrix (always 0 for
-    "baseline"). Each set is scored as its sorted distinct tags, exactly as
-    :func:`translate` scores it.
+    `targets` must be distinct: a repeated id raises, naming it. Returns a
+    (sets x targets) score matrix, columns in the order of `targets`, and
+    per set the number of distinct source tags dropped as missing from the
+    embedding matrix (always 0 for "baseline"). Each set is scored as its
+    sorted distinct tags, exactly as :func:`translate` scores it: the sum of
+    its sources' rows in the scorer's table, in that order, divided by its
+    size for "avg" and "baseline". A row depends only on the scorer's input,
+    the target list and its source, never on the other sources or calls.
 
-    "sum"/"avg": targets are checked and row-normalized once per target
-    list, in the matrix's memo; each distinct source is normalized once;
-    each distinct tuple of resolved sources is multiplied against the
-    targets once and its cosine rows summed, and divided by its size for
-    "avg"; later sets with the same resolved tuple copy that row. A set
-    with no resolved source scores 0 everywhere.
-    "baseline" averages over the set one 1/(1 + hops) row per source, read
-    from the graph's :class:`HopTable` for this target list. The call that
-    builds the table searches only its own distinct sources, so a one-shot
-    call stays cheap; the first later call that brings a source not searched
-    yet fills the table with one search from the targets, which gives every
-    node's row, since paths are undirected; after that no call on this graph
-    and list searches. Searches run :func:`~genrevec.genregraph.hop_levels`.
-    Every id must be a graph node, and an unknown source is named before an
-    unknown target.
+    "sum"/"avg": the matrix's :class:`CosineTable` row-normalizes the
+    targets once per list. Each source it has not read is normalized alike
+    and multiplied against them on its own, so the table grows to at most
+    (distinct sources read) x (targets) float64. A set with no source in
+    the matrix scores 0 everywhere.
+    "baseline": the graph's :class:`HopTable` holds 1/(1 + hops) rows. The
+    call that builds the table searches only its own distinct sources, so a
+    one-shot call stays cheap; the first later call that brings a source not
+    searched yet fills the table with one search from the targets, which
+    gives every node's row, since paths are undirected; after that no call
+    on this graph and list searches. Searches run
+    :func:`~genrevec.genregraph.hop_levels`. Every id must be a graph node,
+    and an unknown source is named before an unknown target.
     """
-    scores, dropped, _ = _score(source_sets, tuple(targets), embeddings, scorer, graph)
+    key = tuple(targets)
+    scores, dropped, memo = _score(source_sets, key, embeddings, scorer, graph)
+    if len(memo.targets if memo else dict.fromkeys(key)) != len(key):
+        repeated = next(t for i, t in enumerate(key) if t in key[:i])
+        raise ValueError(f"repeated target tag {repeated!r}")
     return scores, dropped
 
 
@@ -184,35 +196,25 @@ def _score(
                 memo = graph._target_memo = memo._replace(table=table)
             found = table.levels[positions]
             table.rows.update(_relatedness(missing, np.where(found == graph.node_count, np.inf, found)))
-        scores = np.zeros((len(rows), len(memo.targets)))
-        for i, row in enumerate(rows):
-            scores[i] = sum(table.rows[source] for source in row) / len(row)
-        return scores, dropped, memo
+    else:
+        if embeddings is None:
+            raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
+        memo = _memo(embeddings, key, lambda targets: _cosine_table(embeddings, targets))
+        table = memo.table
+        resolved = [[source for source in row if source in embeddings] for row in rows]
+        dropped[:] = [len(row) - len(kept) for row, kept in zip(rows, resolved)]
+        rows = resolved
+        for source in chain(*rows):
+            if source not in table.rows:  # one product of the same shape per source, normalized as the targets are
+                cosines = table.block @ _normalize_rows(embeddings.vectors[[embeddings.index_of(source)]])[0]
+                cosines.flags.writeable = False
+                table.rows[source] = cosines
 
-    if embeddings is None:
-        raise ValueError(f"the {scorer!r} scorer requires an embedding matrix")
-    memo = _memo(embeddings, key, lambda targets: _target_rows(embeddings, targets))
     scores = np.zeros((len(rows), len(memo.targets)))
-    resolved_rows = [tuple(s for s in row if s in embeddings) for row in rows]
-    dropped[:] = [len(row) - len(resolved) for row, resolved in zip(rows, resolved_rows)]
-
-    distinct = sorted({tag for resolved in resolved_rows for tag in resolved})
-    position = {tag: i for i, tag in enumerate(distinct)}
-    source_matrix = _normalize_rows(embeddings.vectors[[embeddings.index_of(s) for s in distinct]])
-    # One product per distinct set rather than slices of one shared cosine
-    # block: BLAS rounds an entry differently depending on the shape of the
-    # product it belongs to, and this keeps every score equal to a one-set
-    # call. A set seen before copies the row of its first occurrence.
-    first_row: dict[tuple[str, ...], int] = {}
-    for i, resolved in enumerate(resolved_rows):
-        if not resolved:
-            continue
-        first = first_row.setdefault(resolved, i)
-        if first != i:
-            scores[i] = scores[first]
-        else:
-            values = (source_matrix[[position[s] for s in resolved]] @ memo.table.T).sum(axis=0)
-            scores[i] = values / len(resolved) if scorer == "avg" else values
+    for i, row in enumerate(rows):
+        if row:
+            total = sum(table.rows[source] for source in row)
+            scores[i] = total if scorer == "sum" else total / len(row)
     return scores, dropped, memo
 
 
@@ -225,7 +227,8 @@ def translate(
 ) -> TranslationResult:
     """Score every target tag for the given source tag set and rank them.
 
-    A one-set call of :func:`score_sets`. With the "sum"/"avg" scorers,
+    A one-set call of :func:`score_sets`, except that a repeated target is
+    scored once, at its first position. With the "sum"/"avg" scorers,
     targets must resolve in the embedding matrix; source tags missing from
     it are dropped (with a warning), and if none remain every target scores
     0. The "baseline" scorer averages shortest-path relatedness over the

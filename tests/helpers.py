@@ -222,7 +222,11 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def oracle_translate_scores(source_tags, target_list, embeddings=None, scorer="avg", graph=None):
-    """Oracle: per-query scoring as a standalone translate() did it, from BFS hops and rebuilt target rows."""
+    """Oracle: per-query scoring as a standalone translate() once did it, from BFS hops and rebuilt target rows.
+
+    For "sum"/"avg", one product of the set's unit rows against the target
+    rows: the sums of :func:`row_sum_translate_scores`, rounded in another order.
+    """
     sources = sorted(set(source_tags))
     if scorer == "baseline":
         totals = np.zeros(len(target_list))
@@ -239,6 +243,24 @@ def oracle_translate_scores(source_tags, target_list, embeddings=None, scorer="a
     return values / len(resolved) if scorer == "avg" else values
 
 
+def row_sum_translate_scores(source_tags, target_list, embeddings=None, scorer="avg", graph=None):
+    """Frozen reference of the scores of `translate` and `score_sets`: one row per source, summed.
+
+    A resolved source's cosine row is the target list's unit rows times the
+    source's unit vector, one matrix-vector product per source; a set scores
+    the sum of its sorted sources' rows, divided by their count for "avg".
+    "baseline" is :func:`oracle_translate_scores`, which sums its rows alike.
+    """
+    if scorer == "baseline":
+        return oracle_translate_scores(source_tags, target_list, scorer=scorer, graph=graph)
+    target_matrix = _unit_rows(np.vstack([vector(embeddings, t) for t in target_list]))
+    resolved = [s for s in sorted(set(source_tags)) if s in embeddings]
+    if not resolved:
+        return np.zeros(len(target_list))
+    values = sum(target_matrix @ _unit_rows(vector(embeddings, s)[None, :])[0] for s in resolved)
+    return values / len(resolved) if scorer == "avg" else values
+
+
 def oracle_translate(
     source_tags: Iterable[str],
     targets: Iterable[str],
@@ -246,13 +268,13 @@ def oracle_translate(
     scorer: str = "avg",
     graph: GenreGraph | None = None,
 ) -> TranslationResult:
-    """Oracle: `translate` before its target rows were memoized, frozen.
+    """Oracle: `translate` without its memo, frozen.
 
-    The scores of :func:`oracle_translate_scores`, which rebuilds the target
+    The scores of :func:`row_sum_translate_scores`, which rebuilds the target
     rows on every call, ranked by a Python sort on (-score, tag).
     """
     target_list = list(dict.fromkeys(targets))
-    row = oracle_translate_scores(source_tags, target_list, embeddings, scorer, graph)
+    row = row_sum_translate_scores(source_tags, target_list, embeddings, scorer, graph)
     scores = dict(zip(target_list, row.tolist()))
     ranking = sorted(scores, key=lambda tag: (-scores[tag], tag))
     return TranslationResult(scores=scores, ranking=ranking)

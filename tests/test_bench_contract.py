@@ -7,18 +7,23 @@ disappear without this test failing. The serve-phase test sends the smoke
 dataset's queries through the harness and its per-query checks, so a wrong
 score or ranking fails here rather than only in a benchmark run; it also
 checks that ranking ties break lexicographically, which the harness's
-checks do not. A tag system with no corpus tags is rejected by the harness's
-pipeline too, through the library call that owns that rule.
+checks do not. The smoke build's ``evaluate`` report passes the harness's
+1e-12 AUC check for every scorer. A tag system with no corpus tags is
+rejected by the harness's pipeline too, through the library call that owns
+that rule.
 """
 
+import dataclasses
 import importlib
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from genrevec.cli import PipelineConfig, TagSystemSpec
+from genrevec.evaluation import evaluate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,6 +81,31 @@ def test_served_queries_pass_the_benchmark_checks(tmp_path, monkeypatch):
     assert problems == []
     assert misranked == []
     assert graph is reloaded and graph._target_memo.table.levels is not None
+
+
+def test_evaluate_reports_pass_the_benchmark_auc_check(tmp_path, monkeypatch):
+    # a score that rounds differently from the harness's reference can flip a tie, which moves an AUC by far more
+    # than the check's 1e-12
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, pipeline, checks = (importlib.import_module(name) for name in ("gen", "pipeline", "checks"))
+    gen.generate(tmp_path, gen.WORKLOADS["smoke"], 1)
+    config = PipelineConfig.from_file(tmp_path / "config.json")
+    tracer = pipeline.Tracer(enabled=False)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    inputs = pipeline.load_inputs(config, tracer)
+    built = pipeline.run_pipeline(config, inputs, workdir, tracer)
+    for scorer in ("sum", "avg", "baseline"):
+        if scorer == "baseline":
+            # check_report scores every report by cosine; for the baseline it takes the harness's hop reference
+            hops = checks.HopReference(built.graph)
+            monkeypatch.setattr(checks, "ScoreReference", lambda _, targets: SimpleNamespace(
+                scores=lambda sources, _: hops.scores(sources, targets)))
+        report = evaluate(inputs.corpus, built.folds, config.target_system, config.source_systems,
+                          scorer=scorer, embeddings=built.embeddings, graph=built.graph)
+        problems = checks.check_report(report, inputs.corpus, built.folds, built.embeddings,
+                                       dataclasses.replace(config, scorer=scorer))
+        assert problems == []
 
 
 def test_pipeline_rejects_a_tag_system_without_corpus_tags(tmp_path, monkeypatch):

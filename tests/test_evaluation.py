@@ -29,7 +29,7 @@ from genrevec.evaluation import (
 )
 from genrevec.fixtures import write_demo_dataset
 from genrevec.genregraph import HOP_CHUNK, RELATIONS, load_saved_graph, tag_node_id
-from genrevec.translate import translate
+from genrevec.translate import score_sets, translate
 
 from helpers import (
     bare_graph,
@@ -38,6 +38,7 @@ from helpers import (
     paired_corpus,
     rankdata_fold_aucs,
     record_searches,
+    row_sum_translate_scores,
     scan_stratified_split,
     synthetic_corpus,
     text_file,
@@ -552,7 +553,7 @@ class TestEvaluate:
 
 
 def oracle_evaluate(corpus, folds, target_system, source_systems, scorer, embeddings=None, graph=None):
-    """Per-item scoring and the scalar rank-sum AUC, one tag and fold at a time."""
+    """Per-item scoring by the row-sum reference and the scalar rank-sum AUC, one tag and fold at a time."""
     vocabulary = corpus.system_vocabulary(target_system)
     target_ids = [tag_node_id(target_system, tag) for tag in vocabulary]
     eligible = [
@@ -562,7 +563,7 @@ def oracle_evaluate(corpus, folds, target_system, source_systems, scorer, embedd
     scores_by_item = {}
     for item in eligible:
         sources = {tag_node_id(system, tag) for system in source_systems for tag in item.tags(system)}
-        scores_by_item[item.id] = oracle_translate_scores(sources, target_ids, embeddings, scorer, graph)
+        scores_by_item[item.id] = row_sum_translate_scores(sources, target_ids, embeddings, scorer, graph)
     fold_aucs, items_per_fold = [], []
     per_tag = {tag: [] for tag in vocabulary}
     for fold in range(folds.k):
@@ -669,8 +670,34 @@ class TestBatchScoringOracle:
         for _ in range(20):
             query = rng.sample(sources, rng.randint(1, 4))
             result = translate(query, targets, embeddings=embeddings, scorer=scorer, graph=graph)
+            got = [result.scores[t] for t in targets]
+            assert got == row_sum_translate_scores(query, targets, embeddings, scorer, graph).tolist()
             expected = oracle_translate_scores(query, targets, embeddings, scorer, graph)
-            assert [result.scores[t] for t in targets] == expected.tolist()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_sets_with_equal_row_sums_tie(self):
+        # a and b are parallel, so their unit vectors and cosine rows have the same bits, and the sets
+        # {a, c} and {b, c} sum the same rows: every item scores alike, and each defined AUC is the
+        # tie-corrected 0.5
+        embeddings = ConceptEmbeddingMatrix(
+            ["s:a", "s:b", "s:c", "t:x", "t:y", "t:z"],
+            np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 1.0, -1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 1.0]]),
+            np.ones(6, dtype=bool),
+        )
+        items = [
+            CorpusItem(f"i{n:02d}", {"s": ("a" if n % 2 else "b", "c"), "t": ("x" if n % 2 else "y", "z")})
+            for n in range(24)
+        ]
+        corpus = ParallelCorpus(items=items, systems=("s", "t"))
+        folds = stratified_split(corpus, k=3, seed=0)
+        for scorer in ("sum", "avg"):
+            scores, _ = score_sets([{"s:a", "s:c"}, {"s:b", "s:c"}, {"s:a"}, {"s:b"}], ["t:x", "t:y", "t:z"],
+                                   embeddings=embeddings, scorer=scorer)
+            assert scores[0].tobytes() == scores[1].tobytes() and scores[2].tobytes() == scores[3].tobytes()
+            report = evaluate(corpus, folds, "t", ["s"], scorer=scorer, embeddings=embeddings)
+            assert report.to_dict() == oracle_evaluate(corpus, folds, "t", ["s"], scorer, embeddings).to_dict()
+            assert report.per_tag == {"x": (0.5,) * 3, "y": (0.5,) * 3, "z": (None,) * 3}
+            assert report.mean_auc == 0.5
 
     def test_demo_data(self, tmp_path):
         paths = write_demo_dataset(tmp_path)

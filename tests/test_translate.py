@@ -19,6 +19,7 @@ from helpers import (
     count_memo_builds,
     extended_graph,
     oracle_translate,
+    oracle_translate_scores,
     record_searches,
     score_avg,
     score_sum,
@@ -304,10 +305,52 @@ class TestMemoizedTranslate:
             for sources in source_sets:
                 for scorer in ("sum", "avg", "baseline"):
                     kwargs = {"graph": graph} if scorer == "baseline" else {"embeddings": embeddings}
-                    assert_same_translation(
-                        translate(sources, targets, scorer=scorer, **kwargs),
-                        oracle_translate(sources, targets, scorer=scorer, **kwargs),
-                    )
+                    result = translate(sources, targets, scorer=scorer, **kwargs)
+                    assert_same_translation(result, oracle_translate(sources, targets, scorer=scorer, **kwargs))
+                    # the one-product oracle sums the same cosines in another order
+                    distinct = list(dict.fromkeys(targets))
+                    expected = oracle_translate_scores(sources, distinct, scorer=scorer, **kwargs)
+                    np.testing.assert_allclose([result.scores[t] for t in distinct], expected, rtol=0, atol=1e-12)
+
+
+class TestRowsPerSource:
+    """Each scorer keeps one row per source, computed on its own, and sums a set's rows in sorted order;
+    so a score has the same bits whatever the call read before it and in whatever order sets come."""
+
+    @given(translation_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_scores_ignore_the_sources_read_before(self, case, rng):
+        embeddings, graph, (targets, _), source_sets = case
+        targets = list(dict.fromkeys(targets))
+        for scorer in ("sum", "avg", "baseline"):
+            def inputs(fresh):  # a fresh copy holds no memo
+                if scorer == "baseline":
+                    return {"graph": extended_graph(graph) if fresh else graph}
+                return {"embeddings": embeddings.copy_with() if fresh else embeddings}
+
+            alone = [score_sets([tags], targets, scorer=scorer, **inputs(True))[0][0].tobytes() for tags in source_sets]
+            warm = inputs(False)
+            for i in rng.sample(range(len(source_sets)), len(source_sets)):
+                result = translate(source_sets[i], targets, scorer=scorer, **warm)
+                assert np.array([result.scores[t] for t in targets]).tobytes() == alone[i]
+            order = rng.sample(range(len(source_sets)), len(source_sets))
+            for batch_inputs in (warm, inputs(True)):
+                scores, _ = score_sets([source_sets[i] for i in order], targets, scorer=scorer, **batch_inputs)
+                assert [row.tobytes() for row in scores] == [alone[i] for i in order]
+            owner = warm["graph" if scorer == "baseline" else "embeddings"]
+            for source, row in owner._target_memo.table.rows.items():
+                assert not row.flags.writeable
+                assert row.tobytes() == score_sets([[source]], targets, scorer=scorer, **inputs(True))[0][0].tobytes()
+
+    def test_repeated_target_rejected(self):
+        embeddings = matrix_of([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])])
+        graph = bare_graph(["a", "b", "c"], [("a", "b", "sameAs")])
+        for kwargs in ({"embeddings": embeddings, "scorer": "avg"}, {"graph": graph, "scorer": "baseline"}):
+            for sets in ([["a"]], []):
+                with pytest.raises(ValueError, match="^repeated target tag 'b'$"):
+                    score_sets(sets, ["c", "b", "a", "b", "c"], **kwargs)
+        # translate scores a repeated target once, at its first position
+        assert list(translate(["a"], ["b", "c", "b"], embeddings=embeddings).scores) == ["b", "c"]
 
 
 class TestTargetMemo:
@@ -332,7 +375,7 @@ class TestTargetMemo:
         first = translate(["c0"], ["c4", "c5", "c6"], embeddings=embeddings)
         for _ in range(49):
             assert_same_translation(translate(["c0"], ["c4", "c5", "c6"], embeddings=embeddings), first)
-        assert lookups == {"c0": 50, "c4": 1, "c5": 1, "c6": 1}
+        assert lookups == {"c0": 1, "c4": 1, "c5": 1, "c6": 1}  # a source's row is computed once per memo
 
     def test_a_new_target_list_rebuilds_the_block(self, monkeypatch):
         embeddings = self.embeddings()
