@@ -1,5 +1,5 @@
-"""File I/O: line iteration over UTF-8 text files, JSON-lines records, and
-artifact writes that replace a file atomically."""
+"""File I/O: UTF-8 lines, JSON records and atomic artifact writes. An input
+error reads '<path>: <what> line <n>[, column <c>]: <problem>'."""
 
 from __future__ import annotations
 
@@ -9,26 +9,65 @@ import os
 import uuid
 from typing import IO, Iterator
 
+NOT_JSON = (ValueError, RecursionError)  # json.loads: bad syntax, an integer too long, nesting too deep
 
-def iter_lines(path: str | os.PathLike) -> Iterator[str]:
-    """Yield the lines of the UTF-8 file at `path` with trailing newlines removed."""
+
+@contextlib.contextmanager
+def reading(path: str | os.PathLike, error: type[Exception]) -> Iterator[None]:
+    """Block in which a loader reads the file at `path`; every `error` raised in it gets the path in front."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def iter_lines(path: str | os.PathLike, what: str, error: type[Exception]) -> Iterator[str]:
+    """The lines of the UTF-8 file at `path`, newlines removed; `error` names `what`, the line and column of a bad byte."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for line in handle:
-            yield line.rstrip("\r\n")
+        try:
+            for line in handle:
+                yield line.rstrip("\r\n")
+        except UnicodeDecodeError:
+            raise error(f"{what} {_undecodable(path)}".lstrip()) from None
 
 
 def iter_json_objects(source: str | os.PathLike, what: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """(line number, object) per nonblank line; `error` names `what` and the line of a bad one."""
-    for lineno, line in enumerate(iter_lines(source), start=1):
+    for lineno, line in enumerate(iter_lines(source, what, error), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"{what} line {lineno}: invalid JSON ({exc.msg})") from None
+        except NOT_JSON as exc:
+            raise error(f"{what} line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(record, dict):
             raise error(f"{what} line {lineno}: expected a JSON object")
         yield lineno, record
+
+
+def read_json(path: str | os.PathLike, error: type[Exception]) -> object:
+    """The JSON value in the UTF-8 file at `path`; `error` says what is wrong with one that holds none."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError:
+        raise error(_undecodable(path)) from None
+    except NOT_JSON as exc:
+        raise error(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+
+
+def _undecodable(path: str | os.PathLike) -> str:
+    """'line L, column C: ...' of the first byte that is not UTF-8, looked for only once decoding has failed. The file
+    is read again line by line as the text reader splits it, each bad byte kept as a surrogate escape."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            raw = line.encode("utf-8", "surrogateescape")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                column = len(raw[:exc.start].decode("utf-8")) + 1
+                return f"line {lineno}, column {column}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return "not UTF-8 (the file changed while it was read)"
 
 
 @contextlib.contextmanager

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from ._lines import atomic_write
+from ._lines import atomic_write, read_json, reading
 from .compose import DEFAULT_SIF_A, ConceptEmbeddingMatrix, check_sif_a, compose_avg, compose_sif
 from .compose import load_matrix, save_matrix
 from .evaluation import DEFAULT_MIN_TAG_COUNT, EvalReport, evaluate, load_corpus, stratified_split
@@ -78,35 +78,33 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """The config in the JSON file at `path`; ConfigError names the path, then the problem."""
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        unknown, missing = _key_problems(cls, payload)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {unknown}")
-        if missing:
-            raise ConfigError(f"{path}: config key {missing!r} is required")
-        systems = payload.pop("tag_systems", [])
-        if not isinstance(systems, list) or not all(isinstance(entry, dict) for entry in systems):
-            raise ConfigError(f"{path}: tag_systems must be a list of objects, got {json.dumps(systems)}")
-        for entry in systems:
-            unknown, missing = _key_problems(TagSystemSpec, entry)
+        with reading(path, ConfigError):
+            payload = read_json(path, ConfigError)
+            if not isinstance(payload, dict):
+                raise ConfigError("config must be a JSON object")
+            unknown, missing = _key_problems(cls, payload)
             if unknown:
-                raise ConfigError(f"{path}: unknown tag_systems entry keys {unknown}")
+                raise ConfigError(f"unknown config keys {unknown}")
             if missing:
-                raise ConfigError(f"{path}: tag_systems entries need 'name' and 'language'")
-        config = cls(**payload, tag_systems=[TagSystemSpec(**entry) for entry in systems])
-        config._validate()
-        # Relative paths resolve against the config file's directory.
-        config.vectors = {lang: _resolve(path.parent, f"vectors.{lang}", p) for lang, p in config.vectors.items()}
-        for key in ("graph_nodes", "graph_edges", "corpus", "workdir", "lemma_table"):
-            if getattr(config, key) is not None:
-                setattr(config, key, _resolve(path.parent, key, getattr(config, key)))
+                raise ConfigError(f"config key {missing!r} is required")
+            systems = payload.pop("tag_systems", [])
+            if not isinstance(systems, list) or not all(isinstance(entry, dict) for entry in systems):
+                raise ConfigError(f"tag_systems must be a list of objects, got {json.dumps(systems)}")
+            for entry in systems:
+                unknown, missing = _key_problems(TagSystemSpec, entry)
+                if unknown:
+                    raise ConfigError(f"unknown tag_systems entry keys {unknown}")
+                if missing:
+                    raise ConfigError("tag_systems entries need 'name' and 'language'")
+            config = cls(**payload, tag_systems=[TagSystemSpec(**entry) for entry in systems])
+            config._validate()
+            # Relative paths resolve against the config file's directory.
+            config.vectors = {lang: _resolve(path.parent, f"vectors.{lang}", p) for lang, p in config.vectors.items()}
+            for key in ("graph_nodes", "graph_edges", "corpus", "workdir", "lemma_table"):
+                if getattr(config, key) is not None:
+                    setattr(config, key, _resolve(path.parent, key, getattr(config, key)))
         return config
 
     def _validate(self) -> None:

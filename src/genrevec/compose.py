@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from ._lines import atomic_write
+from ._lines import NOT_JSON, atomic_write, reading
 from .wordvec import VectorFormatError, VectorSpace, estimate_frequency
 
 DEFAULT_SIF_A = 1e-3
@@ -219,6 +219,7 @@ def compose_sif(
 
 
 MATRIX_ARRAYS = ("concepts", "vectors", "known", "metadata")
+DAMAGED_ARCHIVE = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile)  # all numpy and zipfile raise
 
 
 def save_matrix(
@@ -254,45 +255,46 @@ def load_matrix(path: str | os.PathLike) -> tuple[ConceptEmbeddingMatrix, dict]:
     Any file that is not such an archive, such as a text matrix of an older
     version, any array of the wrong type or shape or non-finite component,
     and any matrix the constructor rejects (a repeated concept id) raises
-    :class:`VectorFormatError` naming `path`.
+    :class:`VectorFormatError` naming `path`, then the problem.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise VectorFormatError(f"{path}: not a concept matrix .npz archive; rerun `genrevec embed` to rewrite it")
-    with archive:
-        missing = [name for name in MATRIX_ARRAYS if name not in archive.files]
-        if missing:
-            raise VectorFormatError(f"{path}: missing array {missing[0]!r}")
+    with reading(path, VectorFormatError), open(path, "rb") as handle:
         try:
-            concepts, vectors, known, metadata = (archive[name] for name in MATRIX_ARRAYS)
-        except (ValueError, EOFError, zipfile.BadZipFile) as error:
-            raise VectorFormatError(f"{path}: unreadable array ({error})") from None
+            archive = np.load(handle, allow_pickle=False)
+        except DAMAGED_ARCHIVE:
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise VectorFormatError("not a concept matrix .npz archive; rerun `genrevec embed` to rewrite it")
+        with archive:
+            missing = [name for name in MATRIX_ARRAYS if name not in archive.files]
+            if missing:
+                raise VectorFormatError(f"missing array {missing[0]!r}")
+            try:
+                concepts, vectors, known, metadata = (archive[name] for name in MATRIX_ARRAYS)
+            except DAMAGED_ARCHIVE as error:
+                raise VectorFormatError(f"unreadable array ({error})") from None
 
-    if vectors.dtype != np.float64 or vectors.ndim != 2:
-        raise VectorFormatError(f"{path}: vectors must be a 2-D float64 array, found {vectors.dtype} {vectors.shape}")
-    n = len(vectors)
-    if concepts.dtype.kind != "U" or concepts.shape != (n,):
-        raise VectorFormatError(
-            f"{path}: concepts must be a 1-D unicode array of {n} ids, found {concepts.dtype} {concepts.shape}"
-        )
-    if known.dtype != bool or known.shape != (n,):
-        raise VectorFormatError(f"{path}: known must be a bool array of shape ({n},), found {known.dtype} {known.shape}")
-    if metadata.dtype.kind != "U" or metadata.ndim != 0:
-        raise VectorFormatError(f"{path}: metadata must be a 0-d unicode array, found {metadata.dtype} {metadata.shape}")
-    try:
-        metadata = json.loads(metadata.item())
-    except json.JSONDecodeError:
-        metadata = None
-    if not isinstance(metadata, dict):
-        raise VectorFormatError(f"{path}: metadata is not a JSON object")
-    concepts = concepts.tolist()
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise VectorFormatError(f"{path}: non-finite vector component for concept {concepts[np.argmin(finite)]!r}")
-    try:
-        return ConceptEmbeddingMatrix(concepts=concepts, vectors=vectors, known=known), metadata
-    except ValueError as exc:
-        raise VectorFormatError(f"{path}: {exc}") from None
+        if vectors.dtype != np.float64 or vectors.ndim != 2:
+            raise VectorFormatError(f"vectors must be a 2-D float64 array, found {vectors.dtype} {vectors.shape}")
+        n = len(vectors)
+        if concepts.dtype.kind != "U" or concepts.shape != (n,):
+            raise VectorFormatError(
+                f"concepts must be a 1-D unicode array of {n} ids, found {concepts.dtype} {concepts.shape}"
+            )
+        if known.dtype != bool or known.shape != (n,):
+            raise VectorFormatError(f"known must be a bool array of shape ({n},), found {known.dtype} {known.shape}")
+        if metadata.dtype.kind != "U" or metadata.ndim != 0:
+            raise VectorFormatError(f"metadata must be a 0-d unicode array, found {metadata.dtype} {metadata.shape}")
+        try:
+            metadata = json.loads(metadata.item())
+        except NOT_JSON:
+            metadata = None
+        if not isinstance(metadata, dict):
+            raise VectorFormatError("metadata is not a JSON object")
+        concepts = concepts.tolist()
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise VectorFormatError(f"non-finite vector component for concept {concepts[np.argmin(finite)]!r}")
+        try:
+            return ConceptEmbeddingMatrix(concepts=concepts, vectors=vectors, known=known), metadata
+        except ValueError as exc:
+            raise VectorFormatError(str(exc)) from None

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._lines import iter_json_objects
+from ._lines import iter_json_objects, reading
 from .compose import ConceptEmbeddingMatrix
 from .genregraph import GenreGraph, has_tokens, tag_node_id
 from .translate import score_sets
@@ -84,7 +84,8 @@ def load_corpus(
     Items carrying any tag observed fewer than `min_tag_count` times in the
     loaded corpus are then filtered out in one pass (counts taken before
     filtering); pass 0 or 1 to disable. A negative `min_tag_count` raises
-    ValueError.
+    ValueError. CorpusFormatError names the file, the line (and column of a
+    byte that is not UTF-8), then the problem.
     """
     if min_tag_count < 0:
         raise ValueError(f"min_tag_count must be nonnegative, got {min_tag_count}")
@@ -92,32 +93,33 @@ def load_corpus(
     seen_ids: set[str] = set()
     usable: dict[tuple[str, str], bool] = {}  # (system, tag) -> whether it has tokens
     thin = 0
-    for lineno, record in iter_json_objects(source, "corpus", CorpusFormatError):
-        if "id" not in record or "annotations" not in record:
-            raise CorpusFormatError(f"corpus line {lineno}: expected an object with 'id' and 'annotations'")
-        item_id = record["id"]
-        raw_annotations = record["annotations"]
-        if not isinstance(item_id, str) or not item_id:
-            raise CorpusFormatError(f"corpus line {lineno}: invalid item id {item_id!r}")
-        if item_id in seen_ids:
-            raise CorpusFormatError(f"corpus line {lineno}: duplicate item id {item_id!r}")
-        if not isinstance(raw_annotations, dict):
-            raise CorpusFormatError(f"corpus line {lineno}: annotations must be an object")
-        seen_ids.add(item_id)
-        annotations: dict[str, tuple[str, ...]] = {}
-        for system, tags in raw_annotations.items():
-            if not isinstance(tags, list) or not all(isinstance(t, str) and t for t in tags):
-                raise CorpusFormatError(f"corpus line {lineno}: tags of {system!r} must be nonempty strings")
-            for tag in tags:
-                if (system, tag) not in usable:
-                    usable[system, tag] = has_tokens(tag)
-            deduped = tuple(tag for tag in dict.fromkeys(tags) if usable[system, tag])
-            if deduped:
-                annotations[system] = deduped
-        if len(annotations) < 2:
-            thin += 1
-            continue
-        items.append(CorpusItem(id=item_id, annotations=annotations))
+    with reading(source, CorpusFormatError):
+        for lineno, record in iter_json_objects(source, "corpus", CorpusFormatError):
+            if "id" not in record or "annotations" not in record:
+                raise CorpusFormatError(f"corpus line {lineno}: expected an object with 'id' and 'annotations'")
+            item_id = record["id"]
+            raw_annotations = record["annotations"]
+            if not isinstance(item_id, str) or not item_id:
+                raise CorpusFormatError(f"corpus line {lineno}: invalid item id {item_id!r}")
+            if item_id in seen_ids:
+                raise CorpusFormatError(f"corpus line {lineno}: duplicate item id {item_id!r}")
+            if not isinstance(raw_annotations, dict):
+                raise CorpusFormatError(f"corpus line {lineno}: annotations must be an object")
+            seen_ids.add(item_id)
+            annotations: dict[str, tuple[str, ...]] = {}
+            for system, tags in raw_annotations.items():
+                if not isinstance(tags, list) or not all(isinstance(t, str) and t for t in tags):
+                    raise CorpusFormatError(f"corpus line {lineno}: tags of {system!r} must be nonempty strings")
+                for tag in tags:
+                    if (system, tag) not in usable:
+                        usable[system, tag] = has_tokens(tag)
+                deduped = tuple(tag for tag in dict.fromkeys(tags) if usable[system, tag])
+                if deduped:
+                    annotations[system] = deduped
+            if len(annotations) < 2:
+                thin += 1
+                continue
+            items.append(CorpusItem(id=item_id, annotations=annotations))
     tokenless = sum(not ok for ok in usable.values())
     if tokenless:
         logger.warning("dropped %d distinct tags with no alphanumeric content", tokenless)
@@ -226,40 +228,28 @@ def auc_binary(scores: Sequence[float], labels: Sequence[int]) -> float:
 
     Equals the fraction of (positive, negative) pairs where the positive
     outscores the negative, counting ties as half a win. Undefined (raises)
-    when the labels are all positive or all negative.
+    when the labels are all positive or all negative. Ranks are summed by
+    :func:`_rank_sum`, as in :func:`evaluate`.
     """
-    scores = list(scores)
     labels = list(labels)
     if len(scores) != len(labels):
         raise ValueError("scores and labels must have the same length")
-    positives = 0
-    negatives = 0
-    for label in labels:
-        if label == 1:
-            positives += 1
-        elif label == 0:
-            negatives += 1
-        else:
-            raise ValueError(f"labels must be 0 or 1, got {label!r}")
-    if positives == 0 or negatives == 0:
+    bad = [label for label in labels if label != 0 and label != 1]
+    if bad:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]!r}")
+    positives = labels.count(1)
+    if not 0 < positives < len(labels):
         raise ValueError("AUC undefined: needs at least one positive and one negative label")
+    values = np.array(scores, dtype=np.float64)
+    wins = _rank_sum(np.sort(values), values[np.array(labels, dtype=bool)]) - positives * (positives + 1) / 2
+    return wins / (positives * (len(labels) - positives))
 
-    n = len(scores)
-    order = sorted(range(n), key=scores.__getitem__)
-    rank_sum = 0.0
-    i = 0
-    while i < n:
-        j = i
-        value = scores[order[i]]
-        while j + 1 < n and scores[order[j + 1]] == value:
-            j += 1
-        average_rank = (i + j + 2) / 2  # 1-based average over the tie group
-        for position in range(i, j + 1):
-            if labels[order[position]] == 1:
-                rank_sum += average_rank
-        i = j + 1
-    wins = rank_sum - positives * (positives + 1) / 2
-    return wins / (positives * negatives)
+
+def _rank_sum(ordered: np.ndarray, values: np.ndarray) -> float:
+    """Sum of the tie-averaged 1-based ranks of `values` among the sorted `ordered` they are drawn from: with `left`
+    entries below and `right` at or below, a value ranks (left + right + 1) / 2, so the sum is exact, as rankdata's."""
+    bounds = np.searchsorted(ordered, values, side="left") + np.searchsorted(ordered, values, side="right")
+    return (int(bounds.sum()) + len(values)) / 2
 
 
 def _fold_of(folds: FoldAssignment, item_id: str) -> int:
@@ -276,12 +266,9 @@ def _fold_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     """Per tag column, the AUC of one fold's (items x tags) scores against its labels.
 
     Returns the AUCs and the mask of qualifying columns, those with both a
-    positive and a negative item; the rest read NaN. Mann-Whitney on
-    tie-averaged ranks: a score with `left` scores below it and `right`
-    at or below it in its sorted column ranks (left + right + 1) / 2, so a
-    column's rank sum is an integer sum halved, exact and equal to summing
-    scipy's `rankdata` ranks. A column holding NaN reads NaN, as under
-    rankdata's default NaN policy.
+    positive and a negative item; the rest read NaN. Mann-Whitney on the
+    :func:`_rank_sum` of each column's positives. A column holding NaN reads
+    NaN, as under rankdata's default NaN policy.
     """
     count = len(scores)
     positives = labels.sum(axis=0)
@@ -292,10 +279,7 @@ def _fold_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
         ordered = np.sort(columns, axis=1)
         rank_sums = np.zeros(scores.shape[1])
         for j in np.flatnonzero(qualifying):
-            values = columns[j][column_labels[j]]
-            left = int(np.searchsorted(ordered[j], values, side="left").sum())
-            right = int(np.searchsorted(ordered[j], values, side="right").sum())
-            rank_sums[j] = (left + right + len(values)) / 2
+            rank_sums[j] = _rank_sum(ordered[j], columns[j][column_labels[j]])
         rank_sums[np.isnan(ordered[:, -1])] = np.nan  # NaN sorts last
         wins = rank_sums - positives * (positives + 1) / 2
         np.divide(wins, positives * (count - positives), out=aucs, where=qualifying)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ._lines import atomic_write, iter_json_objects, iter_lines
+from ._lines import atomic_write, iter_json_objects, iter_lines, read_json, reading
 from .wordvec import normalize_word
 
 logger = logging.getLogger(__name__)
@@ -344,15 +344,17 @@ def _kind(value) -> str:
 
 
 def load_lemma_table(source: str | os.PathLike) -> dict[str, str]:
-    """Read the word<TAB>lemma table file at `source`; both sides are NFC-normalized and lowercased."""
+    """Read the word<TAB>lemma table file at `source`; both sides are NFC-normalized and lowercased.
+    GraphFormatError names the path, the line (and column of a byte that is not UTF-8), then the problem."""
     table: dict[str, str] = {}
-    for lineno, line in enumerate(iter_lines(source), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise GraphFormatError(f"lemma table line {lineno}: expected 'word<TAB>lemma', got {line!r}")
-        table[normalize_word(parts[0])] = normalize_word(parts[1])
+    with reading(source, GraphFormatError):
+        for lineno, line in enumerate(iter_lines(source, "lemma table", GraphFormatError), start=1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise GraphFormatError(f"lemma table line {lineno}: expected 'word<TAB>lemma', got {line!r}")
+            table[normalize_word(parts[0])] = normalize_word(parts[1])
     return table
 
 
@@ -378,38 +380,41 @@ def load_graph(
     labels are never split into vocabulary words. The graph's word
     vocabulary, against which tags attached later split, holds every node
     token and its lemma. A malformed node or edge line, a dangling edge or
-    an unknown relation raises GraphFormatError naming the line. An edge
+    an unknown relation raises GraphFormatError naming the file, the line
+    (and column of a byte that is not UTF-8), then the problem. An edge
     that passes those checks is dropped if it is a self-loop (with a
     warning) or an exact duplicate.
     """
     lemma_table = lemma_table or {}
     nodes: dict[str, GenreNode] = {}
     vocabulary: set[str] = set()
-    for lineno, record in iter_json_objects(nodes_source, "nodes", GraphFormatError):
-        try:
-            node_id, lang, label = record["id"], record["lang"], record["label"]
-            tokens = _rough_tokens(label) if isinstance(label, str) else ()  # GenreNode names a non-string label
-            _put_node(nodes, GenreNode(id=node_id, language=lang, raw_label=label, tokens=tokens))
-        except KeyError as exc:
-            raise GraphFormatError(f"nodes line {lineno}: missing key {exc.args[0]!r}") from None
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"nodes line {lineno}: {exc}") from None
-        vocabulary.update(tokens)
-        vocabulary.update(lemma for lemma in map(lemma_table.get, tokens) if lemma)
+    with reading(nodes_source, GraphFormatError):
+        for lineno, record in iter_json_objects(nodes_source, "nodes", GraphFormatError):
+            try:
+                node_id, lang, label = record["id"], record["lang"], record["label"]
+                tokens = _rough_tokens(label) if isinstance(label, str) else ()  # GenreNode names a non-string label
+                _put_node(nodes, GenreNode(id=node_id, language=lang, raw_label=label, tokens=tokens))
+            except KeyError as exc:
+                raise GraphFormatError(f"nodes line {lineno}: missing key {exc.args[0]!r}") from None
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"nodes line {lineno}: {exc}") from None
+            vocabulary.update(tokens)
+            vocabulary.update(lemma for lemma in map(lemma_table.get, tokens) if lemma)
 
     edges: dict[GenreEdge, None] = {}
     dropped_loops = 0
-    for lineno, record in iter_json_objects(edges_source, "edges", GraphFormatError):
-        try:
-            edge = _checked_edge(nodes, record["src"], record["dst"], record["rel"])
-        except KeyError as exc:
-            raise GraphFormatError(f"edges line {lineno}: missing key {exc.args[0]!r}") from None
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"edges line {lineno}: {exc}") from None
-        if edge.src == edge.dst:
-            dropped_loops += 1
-        else:
-            edges[edge] = None
+    with reading(edges_source, GraphFormatError):
+        for lineno, record in iter_json_objects(edges_source, "edges", GraphFormatError):
+            try:
+                edge = _checked_edge(nodes, record["src"], record["dst"], record["rel"])
+            except KeyError as exc:
+                raise GraphFormatError(f"edges line {lineno}: missing key {exc.args[0]!r}") from None
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"edges line {lineno}: {exc}") from None
+            if edge.src == edge.dst:
+                dropped_loops += 1
+            else:
+                edges[edge] = None
     if dropped_loops:
         logger.warning("dropped %d self-loop edges", dropped_loops)
     return GenreGraph._assembled(nodes, edges, vocabulary)
@@ -527,13 +532,6 @@ def save_graph(graph: GenreGraph, path: str | os.PathLike) -> None:
 
 
 def load_saved_graph(path: str | os.PathLike) -> GenreGraph:
-    """Read a graph written by :func:`save_graph`; a malformed file raises GraphFormatError naming it."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: invalid JSON ({exc.msg})") from None
-    try:
-        return GenreGraph.from_dict(payload)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    """Read a graph written by :func:`save_graph`; a malformed file raises GraphFormatError naming it first."""
+    with reading(path, GraphFormatError):
+        return GenreGraph.from_dict(read_json(path, GraphFormatError))

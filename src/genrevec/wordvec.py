@@ -9,10 +9,11 @@ from typing import Mapping
 
 import numpy as np
 
-from ._lines import iter_lines
+from ._lines import iter_lines, reading
 
 logger = logging.getLogger(__name__)
 
+TAB_SEPARATED = "tab-separated row; the word and its components are separated by single spaces"
 # Shift constant of the Zipf-Mandelbrot rank/frequency law.
 MANDELBROT_SHIFT = 2.7
 
@@ -67,49 +68,51 @@ def load_vectors(source: str | os.PathLike) -> WordVectorStore:
     NFC-normalized and lowercased; rows whose words collide with an earlier
     entry after that normalization count as read but are dropped with a
     warning, while a byte-identical duplicate word is rejected as a
-    malformed file.
+    malformed file. :class:`VectorFormatError` names the path, the line (and
+    column of a byte that is not UTF-8), then the problem.
     """
-    lines = iter_lines(source)
-    count, dim = _parse_header(next(lines, None))
+    with reading(source, VectorFormatError):
+        lines = iter_lines(source, "", VectorFormatError)
+        count, dim = _parse_header(next(lines, None))
 
-    # Every row read is parsed, dropped rows too, so the first bad line in file
-    # order is the one reported: a duplicate word at line L comes after the
-    # component errors of lines up to L, an empty word at line L after those of
-    # the lines before it.
-    raw_words: list[str] = []
-    rests: list[str] = []
-    linenos: list[int] = []
-    kept: dict[str, int] = {}  # normalized word -> index of its first row in `rests`
-    seen_raw: set[str] = set()
-    failure: VectorFormatError | None = None
-    for lineno, line in enumerate(lines, start=2):
-        if len(rests) >= count:
-            break
-        if not line:
-            continue
-        word, _, rest = line.rstrip(" ").partition(" ")
-        if not word:
-            failure = VectorFormatError(f"line {lineno}: empty word field")
-            break
-        raw_words.append(word)
-        rests.append(rest)
-        linenos.append(lineno)
-        if word in seen_raw:
-            failure = VectorFormatError(f"line {lineno}: duplicate word {word!r}")
-            break
-        seen_raw.add(word)
-        kept.setdefault(normalize_word(word), len(rests) - 1)
+        # Every row read is parsed, dropped rows too, so the first bad line in file
+        # order is the one reported: a duplicate word at line L comes after the
+        # component errors of lines up to L, an empty word at line L after those of
+        # the lines before it.
+        raw_words: list[str] = []
+        rests: list[str] = []
+        linenos: list[int] = []
+        kept: dict[str, int] = {}  # normalized word -> index of its first row in `rests`
+        seen_raw: set[str] = set()
+        failure: VectorFormatError | None = None
+        for lineno, line in enumerate(lines, start=2):
+            if len(rests) >= count:
+                break
+            if not line:
+                continue
+            word, _, rest = line.rstrip(" ").partition(" ")
+            if not word:
+                failure = VectorFormatError(f"line {lineno}: empty word field")
+                break
+            raw_words.append(word)
+            rests.append(rest)
+            linenos.append(lineno)
+            if word in seen_raw:
+                failure = VectorFormatError(f"line {lineno}: duplicate word {word!r}")
+                break
+            seen_raw.add(word)
+            kept.setdefault(normalize_word(word), len(rests) - 1)
 
-    matrix = _parse_block(raw_words, rests, linenos, dim)
-    if failure is not None:
-        raise failure
-    if len(rests) < count:
-        raise VectorFormatError(f"header declares {count} rows, found {len(rests)}")
-    collisions = len(rests) - len(kept)
-    if collisions:
-        logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
-        matrix = matrix[list(kept.values())]
-    return WordVectorStore(dim=dim, words=list(kept), matrix=matrix)
+        matrix = _parse_block(raw_words, rests, linenos, dim)
+        if failure is not None:
+            raise failure
+        if len(rests) < count:
+            raise VectorFormatError(f"header declares {count} rows, found {len(rests)}")
+        collisions = len(rests) - len(kept)
+        if collisions:
+            logger.warning("dropped %d rows whose words collide after NFC/lowercase normalization", collisions)
+            matrix = matrix[list(kept.values())]
+        return WordVectorStore(dim=dim, words=list(kept), matrix=matrix)
 
 
 def _parse_block(raw_words: list[str], rests: list[str], linenos: list[int], dim: int) -> np.ndarray:
@@ -156,7 +159,8 @@ def _parse_row(line: str, lineno: int, dim: int) -> tuple[str, np.ndarray]:
     if not word:
         raise VectorFormatError(f"line {lineno}: empty word field")
     if len(fields) - 1 != dim:
-        raise VectorFormatError(f"line {lineno}: expected {dim} components, found {len(fields) - 1}")
+        problem = TAB_SEPARATED if "\t" in line else f"expected {dim} components, found {len(fields) - 1}"
+        raise VectorFormatError(f"line {lineno}: {problem}")
     try:
         vector = np.array([float(x) for x in fields[1:]], dtype=np.float64)
     except ValueError:

@@ -30,12 +30,17 @@ from genrevec.wordvec import VectorSpace, WordVectorStore, load_vectors
 _TEXT_FILES = tempfile.TemporaryDirectory(prefix="genrevec-tests-")
 
 
-def text_file(text: str) -> Path:
-    """A new file holding `text` unchanged (UTF-8, no newline translation), for the loaders, which read paths."""
+def data_file(data: bytes) -> Path:
+    """A new file holding `data`, for the loaders, which read paths."""
     descriptor, name = tempfile.mkstemp(suffix=".txt", dir=_TEXT_FILES.name)
-    with open(descriptor, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    with open(descriptor, "wb") as handle:
+        handle.write(data)
     return Path(name)
+
+
+def text_file(text: str) -> Path:
+    """A new file holding `text` unchanged (UTF-8, no newline translation)."""
+    return data_file(text.encode("utf-8"))
 
 
 def make_store(entries: list[tuple[str, list[float]]]) -> WordVectorStore:

@@ -311,7 +311,7 @@ class TestErrors:
         paths["config"].write_text(json.dumps(config), encoding="utf-8")
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config key ") and key in err
+        assert err.startswith(f"error: {paths['config']}: config key ") and key in err
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     @pytest.mark.parametrize(
@@ -330,7 +330,7 @@ class TestErrors:
         config[key] = value
         paths["config"].write_text(json.dumps(config), encoding="utf-8")
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {paths['config']}: {message}")
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1])
@@ -340,7 +340,8 @@ class TestErrors:
         config["sif_a"] = value  # json writes NaN and Infinity, which json.load reads back
         paths["config"].write_text(json.dumps(config), encoding="utf-8")
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
-        assert capsys.readouterr().err.startswith("error: smoothing constant a must be positive and finite")
+        message = "smoothing constant a must be positive and finite"
+        assert capsys.readouterr().err.startswith(f"error: {paths['config']}: {message}")
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     def test_negative_min_tag_count_rejected_before_graph_is_written(self, tmp_path, capsys):
@@ -393,7 +394,8 @@ class TestErrors:
         paths["edges"].write_text("\n".join([*lines, json.dumps(edge)]) + "\n", encoding="utf-8")
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: edges line {len(lines) + 1}: edge src, dst and relation must be strings, got ")
+        problem = "edge src, dst and relation must be strings, got "
+        assert err.startswith(f"error: {paths['edges']}: edges line {len(lines) + 1}: {problem}")
         assert not (tmp_path / "data" / "out" / "graph.json").exists()
 
     @pytest.mark.parametrize(
@@ -409,7 +411,8 @@ class TestErrors:
         edit_config(paths["config"], tag_systems=tag_systems)
         for stage in STAGES:
             assert main([*stage, "--config", str(paths["config"])]) == 2, stage
-            assert capsys.readouterr().err == f"error: {message}, so none of its tags is attached\n", stage
+            err = capsys.readouterr().err
+            assert err == f"error: {paths['config']}: {message}, so none of its tags is attached\n", stage
         assert not (tmp_path / "data" / "out").exists()
 
     @pytest.mark.parametrize("key", ["lemma_table", "vectors.en", "graph_nodes", "graph_edges", "corpus", "workdir"])
@@ -425,7 +428,7 @@ class TestErrors:
         paths["config"].write_text(json.dumps(edited), encoding="utf-8")
         before = sorted(tmp_path.rglob("*"))
         assert main(["build-graph", "--config", str(paths["config"])]) == 2
-        assert capsys.readouterr().err == f"error: config key {key!r} must not be an empty path\n"
+        assert capsys.readouterr().err == f"error: {paths['config']}: config key {key!r} must not be an empty path\n"
         assert sorted(tmp_path.rglob("*")) == before  # nothing written anywhere, graph.json included
         edit_config(paths["config"], **{**config, "lemma_table": None})
         assert main(["build-graph", "--config", str(paths["config"])]) == 0
@@ -445,10 +448,15 @@ class TestErrors:
             pytest.param(lambda config: json.dumps({key: value for key, value in config.items() if key != "corpus"}),
                          "{path}: config key 'corpus' is required",
                          id="<lambda>-{path}: PipelineConfig missing required key 'corpus'"),
-            (lambda config: json.dumps({**config, "vectors": {}}), "config needs at least one entry under 'vectors'"),
-            (lambda config: json.dumps({**config, "scorer": "cosine"}),
-             "scorer must be one of ('sum', 'avg', 'baseline')"),
-            (lambda config: json.dumps({**config, "folds": 1}), "folds must be at least 2"),
+            # These ids keep the names the cases had before every config error began with the path.
+            pytest.param(lambda config: json.dumps({**config, "vectors": {}}),
+                         "{path}: config needs at least one entry under 'vectors'",
+                         id="<lambda>-config needs at least one entry under 'vectors'"),
+            pytest.param(lambda config: json.dumps({**config, "scorer": "cosine"}),
+                         "{path}: scorer must be one of ('sum', 'avg', 'baseline')",
+                         id="<lambda>-scorer must be one of ('sum', 'avg', 'baseline')"),
+            pytest.param(lambda config: json.dumps({**config, "folds": 1}), "{path}: folds must be at least 2",
+                         id="<lambda>-folds must be at least 2"),
         ],
     )
     def test_malformed_config_rejected_before_graph_is_written(self, tmp_path, capsys, write, message):

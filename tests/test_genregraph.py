@@ -321,9 +321,10 @@ class TestLoadGraph:
         ],
     )
     def test_non_string_edge_field_names_line(self, edge):
-        edges = EDGES + json.dumps(edge) + "\n"
-        with pytest.raises(GraphFormatError, match="^edges line 3: edge src, dst and relation must be strings, got "):
-            load_graph(text_file(NODES), text_file(edges))
+        edges = text_file(EDGES + json.dumps(edge) + "\n")
+        message = f"{edges}: edges line 3: edge src, dst and relation must be strings, got "
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}"):
+            load_graph(text_file(NODES), edges)
 
     def test_saved_graph_is_one_line_of_sorted_key_json(self, tmp_path):
         graph = attach_tag_system(small_graph(), "sys", ["Hardrock", "Crunk"], "en")

@@ -54,8 +54,9 @@ class TestLoadVectors:
         ],
     )
     def test_header_values_checked(self, text, message):
-        with pytest.raises(VectorFormatError, match=f"^{re.escape(message)}$"):
-            load_vectors(text_file(text))
+        path = text_file(text)
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_vectors(path)
 
     def test_exact_duplicate_word_rejected(self):
         stream = text_file("3 2\nrock 1 0\npop 0 1\nrock 2 2\n")
@@ -75,8 +76,9 @@ class TestLoadVectors:
         assert store.lookup("pop")[1] == 2
 
     def test_non_numeric_component(self):
-        with pytest.raises(VectorFormatError, match="line 2"):
-            load_vectors(text_file("1 2\nrock x 0\n"))
+        path = text_file("1 2\nrock x 0\n")
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(str(path))}: line 2: non-numeric vector component$"):
+            load_vectors(path)
 
     def test_non_finite_component_names_line(self):
         with pytest.raises(VectorFormatError, match="line 2.*non-finite"):
@@ -85,13 +87,15 @@ class TestLoadVectors:
             load_vectors(text_file("2 2\nrock 1 0\npop -inf 1\n"))
 
     def test_truncated_file_rejected(self):
-        with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 1$"):
-            load_vectors(text_file("3 2\nrock 1 0\n"))
+        path = text_file("3 2\nrock 1 0\n")
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(str(path))}: header declares 3 rows, found 1$"):
+            load_vectors(path)
 
     def test_rows_dropped_as_collisions_count_as_read(self):
         assert load_vectors(text_file("2 2\nRock 1 0\nrock 2 2\n")).words == ["rock"]
-        with pytest.raises(VectorFormatError, match="^header declares 3 rows, found 2$"):
-            load_vectors(text_file("3 2\nRock 1 0\nrock 2 2\n"))
+        path = text_file("3 2\nRock 1 0\nrock 2 2\n")
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(str(path))}: header declares 3 rows, found 2$"):
+            load_vectors(path)
         # reading stops after the header's count, so the row after it is never read
         store = load_vectors(text_file("3 2\nRock 1 0\nrock 0 1\npop 1 1\njazz 2 2\n"))
         assert store.words == ["rock", "pop"]
@@ -131,7 +135,7 @@ class TestLoadVectors:
 
 def reference_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
     """Row-at-a-time loader: one _parse_row call per line, in file order, up to the header's row count."""
-    lines = iter_lines(text_file(text))
+    lines = iter_lines(text_file(text), "", VectorFormatError)
     count, dim = _parse_header(next(lines, None))
     words, rows, seen_raw, seen_keys = [], [], set(), set()
     read = 0
@@ -157,7 +161,13 @@ def reference_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
 
 
 def block_load_vectors(text: str) -> tuple[list[str], np.ndarray]:
-    store = load_vectors(text_file(text))
+    """load_vectors, with the path its every error starts with taken off, as the reference names no file."""
+    path = text_file(text)
+    try:
+        store = load_vectors(path)
+    except VectorFormatError as error:
+        assert str(error).startswith(f"{path}: ")
+        raise VectorFormatError(str(error).removeprefix(f"{path}: ")) from None
     return store.words, store.matrix
 
 
@@ -219,13 +229,14 @@ class TestBlockReaderParity:
         ids=["duplicate-word", "empty-word", "duplicate-with-bad-count"],
     )
     def test_earlier_bad_component_is_reported_first(self, line5):
-        text = f"4 2\nrock 1 0\npop x 0\njazz 0 1\n{line5}\n"
-        with pytest.raises(VectorFormatError, match="^line 3: non-numeric"):
-            load_vectors(text_file(text))
+        path = text_file(f"4 2\nrock 1 0\npop x 0\njazz 0 1\n{line5}\n")
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(str(path))}: line 3: non-numeric"):
+            load_vectors(path)
 
     def test_duplicate_word_row_is_parsed_before_the_duplicate_is_reported(self):
-        with pytest.raises(VectorFormatError, match="^line 3: expected 2 components"):
-            load_vectors(text_file("2 2\nrock 1 0\nrock 1\n"))
+        path = text_file("2 2\nrock 1 0\nrock 1\n")
+        with pytest.raises(VectorFormatError, match=f"^{re.escape(str(path))}: line 3: expected 2 components"):
+            load_vectors(path)
 
     def test_float_only_numerals_keep_their_values(self):
         store = load_vectors(text_file("2 2\nrock 1_0 \u0661\npop 0.5 -0.0\n"))
